@@ -14,10 +14,7 @@ from pathlib import Path as FilePath
 import click
 
 from heavymp import combinatorics, delta_graphs, moments, paths, simulation
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from heavymp.simulation import _fmt
 
 
 def _parse_path(text: str, flag: str) -> paths.Path:

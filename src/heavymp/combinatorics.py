@@ -13,7 +13,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-#: Default cap on the ground-set size for full enumerations.
+#: Default cap on the ground-set size for full enumerations.  A cold
+#: ``heavy_mp_moment`` call, which walks all Bell(k) paths, takes about 2.3 s
+#: at k = 10, 15 s at k = 11 and 110 s at k = 12 on a 2-core Xeon VM.
 K_MAX = 12
 
 
@@ -130,24 +132,36 @@ def restricted_growth_strings(k: int, r: int | None = None) -> Iterator[tuple[in
 
     A restricted growth string is a 0-based sequence with a[0]=0 and
     a[i] <= max(a[:i]) + 1.  If ``r`` is given, only strings using exactly
-    r distinct values are yielded.
+    r distinct values are generated: no value exceeds r - 1, and every tail
+    is the smallest one that still reaches r - 1.
     """
-    a = [0] * k
-    maxes = [0] * k  # maxes[i] = max(a[:i+1])
+    if r is not None and not 1 <= r <= k:
+        return
+    top = k - 1 if r is None else r - 1  # largest value allowed
+    need = 0 if r is None else r - 1  # largest value that must appear
+    # the first string is all zeros followed by the ramp 1..need
+    a = [0] * (k - need) + list(range(1, need + 1))
+    maxes = [0] * (k - need) + a[k - need :]  # maxes[i] = max(a[:i+1])
     while True:
-        if r is None or maxes[k - 1] == r - 1:
-            yield tuple(a)
-        # advance to next string
+        yield tuple(a)
+        # rightmost position that can grow; growing it only raises the prefix
+        # maximum, so the tail after it can still reach need
         i = k - 1
-        while i > 0 and a[i] == maxes[i - 1] + 1:
+        while i > 0 and a[i] >= min(maxes[i - 1] + 1, top):
             i -= 1
         if i == 0:
             return
         a[i] += 1
-        maxes[i] = max(maxes[i - 1], a[i])
+        m = maxes[i] = max(maxes[i - 1], a[i])
+        # smallest tail: zeros, then the values m+1..need still missing
+        ramp = k - max(need - m, 0)
         for j in range(i + 1, k):
-            a[j] = 0
-            maxes[j] = maxes[i]
+            if j < ramp:
+                a[j] = 0
+            else:
+                m += 1
+                a[j] = m
+            maxes[j] = m
 
 
 def enumerate_partitions(k: int, r: int, k_max: int = K_MAX) -> Iterator[SetPartition]:

@@ -11,19 +11,18 @@ bottom-up through 1-refinements.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Collection, Iterator
 
-from heavymp.combinatorics import K_MAX, SetPartition
+# SetPartition is no longer built here; the name stays because the benchmark
+# tracer (perfbench/spans.py) counts constructions in this namespace
+from heavymp.combinatorics import K_MAX, SetPartition  # noqa: F401
 from heavymp.paths import (
     Path,
     canonicalize,
     enumerate_canonical_paths,
     is_canonical,
-    partition_to_path,
-    path_to_partition,
     shorten,
 )
 
@@ -56,17 +55,45 @@ class DeltaGraph:
         return sum(1 for (a, _t), _d in self.edge_degrees if a == i)
 
 
+def _edge_degrees(i_path: Path, t_path: Path) -> dict[tuple[int, int], int]:
+    """Degree of every edge (i, t): one down- and one up-edge per step."""
+    degrees: dict[tuple[int, int], int] = {}
+    for i_down, i_up, t in zip(i_path, i_path[1:] + i_path[:1], t_path):
+        degrees[i_down, t] = degrees.get((i_down, t), 0) + 1
+        degrees[i_up, t] = degrees.get((i_up, t), 0) + 1
+    return degrees
+
+
+def _is_tree(edges: Collection[tuple[int, int]], n_vertices: int) -> bool:
+    """Whether the (i, t) skeleton edges form a spanning tree of the vertices.
+
+    With #vertices - 1 edges a graph is a tree exactly when it has no cycle;
+    union-find spots the first edge that closes one.  T-vertices are stored
+    negated so they never share a key with an I-vertex.
+    """
+    if len(edges) != n_vertices - 1:
+        return False
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i, t in edges:
+        a, b = root(i), root(-t)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
 def build_delta(i_path: Path, t_path: Path) -> DeltaGraph:
     if len(i_path) != len(t_path):
         raise ValueError(f"length mismatch: |I|={len(i_path)}, |T|={len(t_path)}")
     if not i_path:
         raise ValueError("paths must be non-empty")
-    k = len(i_path)
-    degrees: Counter[tuple[int, int]] = Counter()
-    for l in range(k):
-        degrees[(i_path[l], t_path[l])] += 1  # down-edge
-        degrees[(i_path[(l + 1) % k], t_path[l])] += 1  # up-edge
-    return DeltaGraph(tuple(sorted(degrees.items())))
+    return DeltaGraph(tuple(sorted(_edge_degrees(i_path, t_path).items())))
 
 
 def is_even(graph: DeltaGraph) -> bool:
@@ -76,55 +103,31 @@ def is_even(graph: DeltaGraph) -> bool:
 def is_tree_skeleton(graph: DeltaGraph) -> bool:
     """Connected with exactly (#vertices - 1) skeleton edges."""
     n_vertices = len(graph.i_vertices) + len(graph.t_vertices)
-    if graph.n_edges != n_vertices - 1:
-        return False
-    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for (i, t), _d in graph.edge_degrees:
-        adjacency.setdefault(("i", i), []).append(("t", t))
-        adjacency.setdefault(("t", t), []).append(("i", i))
-    start = next(iter(adjacency))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n_vertices
+    return _is_tree(graph.degrees, n_vertices)
 
 
 def refine_candidates(t_path: Path, i_path: Path | None = None) -> Iterator[Path]:
     """Canonical paths whose partition is a 1-refinement of partition(T).
 
-    Splits one block of partition(T) into two non-empty parts in every
-    possible way; duplicates (after canonicalization) are suppressed.  The
-    optional ``i_path`` is only checked for length compatibility, validation
-    of the refined pairs is the caller's job.
+    Splits the positions of one label of T into two non-empty parts in every
+    possible way: the part without the label's first position moves to a new
+    label.  Distinct splits give distinct partitions, so each refinement is
+    yielded once.  The optional ``i_path`` is only checked for length
+    compatibility, validation of the refined pairs is the caller's job.
     """
     if i_path is not None and len(i_path) != len(t_path):
         raise ValueError("i_path and t_path must have the same length")
-    partition = path_to_partition(t_path)
-    seen: set[Path] = set()
-    for idx, block in enumerate(partition.blocks):
-        elems = sorted(block)
-        anchor, rest = elems[0], elems[1:]
-        # enumerate splits by the subset that stays with the block's minimum
-        for size in range(len(rest) + 1):
-            for keep in combinations(rest, size):
-                part_a = frozenset((anchor, *keep))
-                part_b = block - part_a
-                if not part_b:
-                    continue
-                blocks = list(partition.blocks[:idx]) + [part_a, part_b] + list(
-                    partition.blocks[idx + 1 :]
-                )
-                blocks.sort(key=min)
-                refined = canonicalize(
-                    partition_to_path(SetPartition(partition.k, tuple(blocks)))
-                )
-                if refined not in seen:
-                    seen.add(refined)
-                    yield refined
+    if not t_path or not is_canonical(t_path):
+        raise ValueError(f"path {t_path} is not a non-empty canonical path")
+    new_label = max(t_path) + 1
+    for label in range(1, new_label):
+        _first, *rest = (pos for pos, v in enumerate(t_path) if v == label)
+        for size in range(1, len(rest) + 1):
+            for moved in combinations(rest, size):
+                refined = list(t_path)
+                for pos in moved:
+                    refined[pos] = new_label
+                yield canonicalize(refined)
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,13 @@ class ContributingSets:
                 yield s, t_path
 
 
-def _contributes(i_path: Path, t_path: Path) -> bool:
-    graph = build_delta(i_path, t_path)
-    return is_even(graph) and is_tree_skeleton(graph)
+def _contributes(i_path: Path, t_path: Path, n_vertices: int) -> bool:
+    """Even edge degrees and a tree skeleton on ``n_vertices`` vertices."""
+    degrees = _edge_degrees(i_path, t_path)
+    for d in degrees.values():
+        if d % 2:
+            return False
+    return _is_tree(degrees, n_vertices)
 
 
 def contributing_sets(
@@ -190,7 +197,7 @@ def contributing_sets(
             )
         level = []
         for t_path in candidates:
-            if _contributes(i_path, t_path):
+            if _contributes(i_path, t_path, r + s):
                 assert s <= k - r + 1  # distinct-label bound for contributing T
                 level.append(t_path)
         if not level:

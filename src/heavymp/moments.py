@@ -10,6 +10,7 @@ product evaluated over its contributing column-path levels.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 from heavymp.combinatorics import K_MAX, bell, stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
-from heavymp.paths import Path, enumerate_canonical_paths, shorten
+from heavymp.paths import Path, dihedral_representative, enumerate_canonical_paths, shorten
 
 RationalLike = int | Fraction | str
 
@@ -116,12 +117,18 @@ def _limit_pF_cached(i_path: Path, alpha: float, gamma: float) -> float:
 
 
 def heavy_mp_moment(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
-    """k-th moment of the heavy-tailed limiting spectral law.
+    """k-th moment of the heavy-tailed limiting spectral law, beta_k + d_k."""
+    return mp_moment(gamma, k) + heavy_tail_gap(alpha, gamma, k, k_max)
 
-    Path-wise evaluation: paths that shorten to the empty path reproduce the
-    classical moment; each path with a non-empty core adds
-    gamma^simples * limit_pF(core).  Cores repeat heavily across paths, so
-    their limits are cached.
+
+def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
+    """d_k = mu_k - beta_k, the excess over the classical moment.
+
+    Path-wise evaluation: paths that shorten to the empty path make up the
+    classical moment and are skipped; each path with a non-empty core adds
+    gamma^simples * limit_pF(core).  Paths are counted by (core, simples),
+    and limit_pF is evaluated once per dihedral class of cores, since
+    rotating or reversing a core leaves its limit unchanged.
     """
     _check_alpha(alpha)
     _check_gamma(gamma)
@@ -132,31 +139,19 @@ def heavy_mp_moment(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> f
             f"moment order k={k} exceeds k_max={k_max}: the path enumeration "
             f"visits Bell(k) = {bell(k)} paths, which grows super-exponentially"
         )
-    beta = float(mp_moment_exact(_as_fraction(gamma), k))
-    if k <= 3:
-        return beta
-    # accumulate in a fixed order (sorted by canonical path) for bit
-    # reproducibility regardless of any parallel enumeration upstream
-    contributions: list[tuple[Path, Path, int]] = []
+    multiplicity: Counter[tuple[Path, int]] = Counter()
     for r in range(2, k - 1):
         for path in enumerate_canonical_paths(k, r, k_max):
             result = shorten(path)
             if result.shortened:
-                contributions.append((path, result.shortened, result.simples))
-    heavy = 0.0
-    for _path, core, simples in sorted(contributions):
-        heavy += gamma**simples * _limit_pF_cached(core, alpha, gamma)
-    return beta + heavy
-
-
-def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
-    """d_k = mu_k - beta_k, the excess over the classical moment."""
-    if k <= 3:
-        # exact short-circuit, the gap vanishes below k=4
-        _check_alpha(alpha)
-        _check_gamma(gamma)
-        return 0.0
-    return heavy_mp_moment(alpha, gamma, k, k_max) - mp_moment(gamma, k)
+                multiplicity[result.shortened, result.simples] += 1
+    # sum in sorted key order so the result does not depend on how the
+    # counts were gathered
+    gap = 0.0
+    for (core, simples), m in sorted(multiplicity.items()):
+        value = _limit_pF_cached(dihedral_representative(core), alpha, gamma)
+        gap += m * gamma**simples * value
+    return gap
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,16 @@ def canonicalize(path: Path) -> Path:
     return tuple(out)
 
 
+def dihedral_representative(path: Path) -> Path:
+    """Smallest canonical form among the rotations of the path and their reversals.
+
+    Paths in one class close the same index cycles of a trace, so every
+    quantity built from those cycles agrees on them.
+    """
+    rotations = [path[j:] + path[:j] for j in range(len(path))]
+    return min(canonicalize(p) for rot in rotations for p in (rot, rot[::-1]))
+
+
 def _require_canonical(path: Path) -> None:
     if not is_canonical(path):
         raise ValueError(f"path {path} is not canonical")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -244,15 +244,7 @@ def _write_report(report: ExperimentReport) -> ExperimentReport:
     except OSError as exc:
         raise OSError(f"failed writing experiment output under {out_dir}: {exc}") from exc
 
-    return ExperimentReport(
-        report.config,
-        report.samples,
-        report.mean_moments,
-        report.std_moments,
-        report.hist_densities,
-        report.hist_edges,
-        tuple(written),
-    )
+    return replace(report, written=tuple(written))
 
 
 def self_normalized_fourth_moment(

@@ -149,6 +149,28 @@ def test_restricted_growth_strings_lexicographic():
     assert strings[-1] == (0, 1, 2, 3)
 
 
+def all_rgs(k):
+    """Every restricted growth string of length k, lexicographically, by recursion."""
+
+    def extend(prefix, top):
+        if len(prefix) == k:
+            yield tuple(prefix)
+            return
+        for v in range(top + 2):
+            yield from extend(prefix + [v], max(top, v))
+
+    yield from extend([0], 0)
+
+
+def test_restricted_growth_strings_exactly_r():
+    for k in range(1, 10):
+        full = list(all_rgs(k))
+        assert list(restricted_growth_strings(k)) == full
+        for r in range(0, k + 2):
+            expected = [a for a in full if max(a) == r - 1]
+            assert list(restricted_growth_strings(k, r)) == expected
+
+
 def test_set_partition_validation():
     with pytest.raises(ValueError):
         SetPartition(3, (frozenset({1, 2}),))  # does not cover

@@ -73,6 +73,64 @@ def test_refine_candidates_all_singletons():
     assert list(refine_candidates((1, 2))) == []
 
 
+def test_refine_candidates_are_the_one_refinements():
+    # a 1-refinement of T has one more label and merging some label of it
+    # into another gives T back
+    from heavymp.paths import canonicalize, enumerate_canonical_paths
+
+    t_path = (1, 2, 1, 1, 3, 2, 1)
+    refined = list(refine_candidates(t_path))
+    expected = [
+        c
+        for c in enumerate_canonical_paths(len(t_path), max(t_path) + 1)
+        if any(
+            canonicalize(tuple(a if v == b else v for v in c)) == t_path
+            for a in range(1, max(c) + 1)
+            for b in range(a + 1, max(c) + 1)
+        )
+    ]
+    assert sorted(refined) == expected
+    assert len(set(refined)) == len(refined)
+
+
+def tree_by_search(graph):
+    """Reference tree test: edge count plus a depth-first connectivity search."""
+    n_vertices = len(graph.i_vertices) + len(graph.t_vertices)
+    if graph.n_edges != n_vertices - 1:
+        return False
+    adjacency = {}
+    for (i, t), _d in graph.edge_degrees:
+        adjacency.setdefault(("i", i), []).append(("t", t))
+        adjacency.setdefault(("t", t), []).append(("i", i))
+    start = next(iter(adjacency))
+    seen, stack = {start}, [start]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == n_vertices
+
+
+def test_tree_test_matches_search():
+    from heavymp.delta_graphs import DeltaGraph
+    from heavymp.paths import enumerate_canonical_paths
+
+    graphs = [
+        build_delta(i_path, t_path)
+        for i_path in [(1, 2, 1, 2, 3, 2), (1, 2, 3, 1, 2, 3), (1, 2, 1, 3, 1, 3)]
+        for s in range(1, 5)
+        for t_path in enumerate_canonical_paths(len(i_path), s)
+    ]
+    # built by hand: a 4-cycle plus a separate edge has #vertices - 1 edges
+    # but is no tree (a graph built from a path pair is always connected)
+    cycle_and_edge = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
+    graphs.append(DeltaGraph(tuple((e, 2) for e in cycle_and_edge)))
+    for graph in graphs:
+        assert is_tree_skeleton(graph) == tree_by_search(graph)
+    assert not is_tree_skeleton(graphs[-1])
+
+
 def test_contributing_sets_1212():
     sets = contributing_sets((1, 2, 1, 2))
     assert sets.levels == (((1, 1, 1, 1),),)
@@ -123,7 +181,15 @@ def test_level_two_nonempty_cases_at_k8():
 
 
 def test_refinement_mode_matches_brute_force():
-    targets = [(1, 2, 1, 2, 3, 4, 3, 4, 3), (1, 2, 1, 2, 3, 1, 3, 2, 3)]
+    targets = [
+        (1, 2, 1, 2, 3, 4, 3, 4, 3),
+        (1, 2, 1, 2, 3, 1, 3, 2, 3),
+        (1, 2, 1, 2, 1, 3, 4, 3, 4),
+        (1, 2, 1, 2, 1, 2, 3, 1, 3),
+        (1, 2, 1, 2, 1, 2, 1, 3, 1, 3),
+        (1, 2, 1, 2, 1, 3, 4, 3, 4, 3),  # t* = 3, two paths at level 2
+        (1, 2, 1, 3, 4, 3, 4, 3, 1, 2),
+    ]
     for k in (6, 8):
         for r in range(2, k // 2 + 1):
             targets.extend(enumerate_class(k, r, PathClass.IRREDUCIBLE))

@@ -112,6 +112,56 @@ def test_limit_pF_level_two_path_brute_force():
     assert value == pytest.approx(brute_limit_pF(i_path, 1.0, 0.5), rel=1e-10)
 
 
+FOLD_POINTS = [(0.5, 0.1), (1.0, 0.2), (1.75, 2.0)]
+
+
+def test_limit_pF_constant_on_dihedral_classes():
+    from heavymp.paths import PathClass, canonicalize, dihedral_representative, enumerate_class
+
+    cores = [
+        core
+        for k in range(4, 9)
+        for r in range(2, k // 2 + 1)
+        for core in enumerate_class(k, r, PathClass.IRREDUCIBLE)
+    ]
+    # up to length 8 every core is a rotation of its reversal; these are not
+    cores += [(1, 2, 1, 2, 1, 2, 3, 1, 3), (1, 2, 1, 2, 1, 3, 1, 3, 2, 3)]
+    for core in cores:
+        rep = dihedral_representative(core)
+        assert rep <= core
+        assert dihedral_representative(canonicalize(core[3:] + core[:3])) == rep
+        assert dihedral_representative(canonicalize(core[::-1])) == rep
+        for alpha, gamma in FOLD_POINTS:
+            assert limit_pF(rep, alpha, gamma) == pytest.approx(
+                limit_pF(core, alpha, gamma), rel=1e-13
+            )
+
+
+def unfolded_heavy_moment(alpha, gamma, k):
+    """Reference: gamma^simples * limit_pF(core) summed path by path, with no fold."""
+    from heavymp.paths import enumerate_canonical_paths, shorten
+
+    limits = {}
+    heavy = 0.0
+    for r in range(2, k - 1):
+        for path in enumerate_canonical_paths(k, r):
+            result = shorten(path)
+            core = result.shortened
+            if core:
+                if core not in limits:
+                    limits[core] = limit_pF(core, alpha, gamma)
+                heavy += gamma**result.simples * limits[core]
+    return mp_moment(gamma, k) + heavy
+
+
+def test_heavy_moment_matches_unfolded_sum():
+    for alpha, gamma in FOLD_POINTS:
+        for k in range(1, 9):
+            assert heavy_mp_moment(alpha, gamma, k) == pytest.approx(
+                unfolded_heavy_moment(alpha, gamma, k), rel=1e-12
+            )
+
+
 @pytest.mark.parametrize(
     "k,expected", [(2, 1.2), (3, 1.64), (4, 2.4980), (5, 4.1816)]
 )
