@@ -1,10 +1,16 @@
 """Exact limiting spectral moments, light- and heavy-tailed.
 
 The classical moments ``mp_moment`` are evaluated in rational arithmetic.
-The heavy-tailed moments ``heavy_mp_moment`` are assembled path-wise: every
-canonical path of length k is shortened; completely reducible paths sum to
-the classical part, and each surviving core contributes a gamma-function
-product evaluated over its contributing column-path levels.
+The heavy-tailed moments ``heavy_mp_moment`` are assembled path-wise: each
+canonical path of length k shortens to a core; completely reducible paths
+(empty core) sum to the classical part, and each non-empty core contributes a
+gamma-function product evaluated over its contributing column-path levels.
+
+A label that occurs once in a path is simple before shortening starts, and
+the shortened core does not depend on the order of removals, so a path has
+the core of the path left after deleting its singletons, with one simple
+removal more per singleton.  Only paths free of singletons are shortened,
+once per length for every moment order (``_core_census``).
 """
 
 from __future__ import annotations
@@ -17,9 +23,15 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from heavymp.combinatorics import K_MAX, bell, stirling2
+from heavymp.combinatorics import K_MAX, stirling2, stirling2_assoc
 from heavymp.delta_graphs import build_delta, contributing_sets
-from heavymp.paths import Path, dihedral_representative, enumerate_canonical_paths, shorten
+from heavymp.paths import (  # noqa: F401  (perfbench's tracer wraps enumerate_canonical_paths here)
+    Path,
+    dihedral_representative,
+    enumerate_canonical_paths,
+    shorten,
+    singleton_free_paths,
+)
 
 RationalLike = int | Fraction | str
 
@@ -124,34 +136,56 @@ def heavy_mp_moment(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> f
 def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
     """d_k = mu_k - beta_k, the excess over the classical moment.
 
-    Path-wise evaluation: paths that shorten to the empty path make up the
-    classical moment and are skipped; each path with a non-empty core adds
-    gamma^simples * limit_pF(core).  Paths are counted by (core, simples),
-    and limit_pF is evaluated once per dihedral class of cores, since
-    rotating or reversing a core leaves its limit unchanged.
+    Path-wise, d_k sums gamma^simples * limit_pF(core) over the canonical
+    length-k paths with a non-empty core.  Deleting the j singleton labels of
+    such a path leaves a singleton-free path of length m = k - j with the same
+    core and j fewer simple removals, and a length-k path is its choice of j
+    singleton positions together with that shorter path.  Hence
+
+        d_k = sum_{m=4..k} C(k, m) gamma^(k-m) G_m,
+
+    where G_m sums gamma^simples * limit_pF(core) over singleton-free
+    canonical paths of length m.  limit_pF is evaluated once per dihedral
+    class of cores, since rotating or reversing a core leaves it unchanged.
     """
     _check_alpha(alpha)
     _check_gamma(gamma)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > k_max:
+        visited = sum(stirling2_assoc(m, r) for m in range(4, k + 1) for r in range(1, m // 2 + 1))
         raise RuntimeError(
-            f"moment order k={k} exceeds k_max={k_max}: the path enumeration "
-            f"visits Bell(k) = {bell(k)} paths, which grows super-exponentially"
+            f"moment order k={k} exceeds k_max={k_max}: the path census shortens the "
+            f"{visited} singleton-free paths of lengths 4..{k}, a count that grows like "
+            f"the Bell numbers"
         )
-    multiplicity: Counter[tuple[Path, int]] = Counter()
-    for r in range(2, k - 1):
-        for path in enumerate_canonical_paths(k, r, k_max):
-            result = shorten(path)
-            if result.shortened:
-                multiplicity[result.shortened, result.simples] += 1
-    # sum in sorted key order so the result does not depend on how the
-    # counts were gathered
     gap = 0.0
-    for (core, simples), m in sorted(multiplicity.items()):
-        value = _limit_pF_cached(dihedral_representative(core), alpha, gamma)
-        gap += m * gamma**simples * value
+    for m in range(4, k + 1):
+        g_m = sum(
+            count * gamma**simples * _limit_pF_cached(core, alpha, gamma)
+            for (core, simples), count in _core_census(m)
+        )
+        gap += comb(k, m) * gamma ** (k - m) * g_m
     return gap
+
+
+@lru_cache(maxsize=None)
+def _core_census(m: int) -> tuple[tuple[tuple[Path, int], int], ...]:
+    """Singleton-free canonical paths of length m with a non-empty core,
+    counted by (dihedral representative of the core, simples).
+
+    Items come in sorted key order, so sums over them do not depend on how
+    the counts were gathered.
+    """
+    by_core: Counter[tuple[Path, int]] = Counter()
+    for path in singleton_free_paths(m):
+        result = shorten(path)
+        if result.shortened:
+            by_core[result.shortened, result.simples] += 1
+    census: Counter[tuple[Path, int]] = Counter()
+    for (core, simples), count in by_core.items():
+        census[dihedral_representative(core), simples] += count
+    return tuple(sorted(census.items()))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from heavymp.combinatorics import (
-    K_MAX,
-    SetPartition,
-    _check_range,
-    enumerate_partitions,
-    restricted_growth_strings,
-)
+from heavymp.combinatorics import K_MAX, SetPartition, _check_range, restricted_growth_strings
 
 Path = tuple[int, ...]
 
@@ -168,31 +162,45 @@ def enumerate_simples(k: int, r: int, q: int, k_max: int = K_MAX) -> Iterator[Pa
             yield path
 
 
+def singleton_free_paths(k: int, r: int | None = None) -> Iterator[Path]:
+    """Yield each canonical path of length k in which every label occurs at
+    least twice, in lexicographic order; with ``r``, only those with r labels.
+
+    A prefix is extended only while it can still be completed: each label seen
+    once needs one more position, and each of the r labels not yet seen needs
+    two.
+    """
+    top = k // 2 if r is None else r  # largest label allowed
+    need = 0 if r is None else r  # every label up to this one must appear
+    count = [0] * (top + 1)
+    path: list[int] = []
+
+    def extend(singles: int, seen: int) -> Iterator[Path]:
+        # singles: labels seen once so far; seen: the largest label so far
+        left = k - len(path) - 1  # positions after the next one
+        for v in range(1, min(seen + 1, top) + 1):
+            c = count[v]
+            s = singles + 1 if c == 0 else singles - 1 if c == 1 else singles
+            if s + 2 * max(need - max(seen, v), 0) <= left:
+                path.append(v)
+                if left:
+                    count[v] = c + 1
+                    yield from extend(s, max(seen, v))
+                    count[v] = c
+                else:
+                    yield tuple(path)
+                path.pop()
+
+    yield from extend(0, 0)
+
+
 def count_irreducible(k: int, r: int) -> int:
     """Number of irreducible canonical r-paths of length k, M(k, r).
 
-    Counted through the partition characterization: every block has at least
-    two elements, no block contains two integers at distance < 2, and the
-    positions 1 and k fall in different blocks.
+    A path is irreducible when shortening removes nothing: every label occurs
+    at least twice and no two cyclically consecutive entries are equal.
     """
     _check_range(k, r)
-    if k < 2 * r:
-        return 0
-    count = 0
-    for partition in enumerate_partitions(k, r, k_max=max(k, K_MAX)):
-        if _is_irreducible_partition(partition):
-            count += 1
-    return count
-
-
-def _is_irreducible_partition(partition: SetPartition) -> bool:
-    k = partition.k
-    for block in partition.blocks:
-        if len(block) < 2:
-            return False
-        elems = sorted(block)
-        if any(b - a < 2 for a, b in zip(elems, elems[1:])):
-            return False
-        if 1 in block and k in block:
-            return False
-    return True
+    return sum(
+        1 for path in singleton_free_paths(k, r) if all(path[j] != path[j - 1] for j in range(k))
+    )

@@ -261,14 +261,15 @@ def self_normalized_fourth_moment(
     done = 0
     while done < rows:
         m = min(chunk_rows, rows - done)
-        # signs drop out after squaring, so sample |X| only
+        # signs drop out after squaring, so sample X^2 only
         if dist == "t":
-            x = rng.standard_t(alpha, size=(m, n))
+            x2 = rng.standard_t(alpha, size=(m, n)) ** 2
         elif dist == "pareto":
-            x = rng.random((m, n)) ** (-1.0 / alpha)
+            x2 = rng.random((m, n)) ** (-2.0 / alpha)
         else:
             raise ValueError(f"dist must be 't' or 'pareto', got {dist!r}")
-        y2 = x**2 / (x**2).sum(axis=1, keepdims=True)
-        total += (y2**2).sum()
+        # per row, sum Y^4 = sum X^4 / (sum X^2)^2
+        s = x2.sum(axis=1)
+        total += (np.einsum("ij,ij->i", x2, x2) / (s * s)).sum()
         done += m
     return total / rows

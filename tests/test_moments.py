@@ -156,10 +156,28 @@ def unfolded_heavy_moment(alpha, gamma, k):
 
 def test_heavy_moment_matches_unfolded_sum():
     for alpha, gamma in FOLD_POINTS:
-        for k in range(1, 9):
+        for k in range(1, 10):
             assert heavy_mp_moment(alpha, gamma, k) == pytest.approx(
                 unfolded_heavy_moment(alpha, gamma, k), rel=1e-12
             )
+
+
+def test_moment_table_shortens_each_singleton_free_path_once(monkeypatch):
+    from heavymp import moments
+    from heavymp.paths import shorten
+
+    calls = []
+
+    def counting_shorten(path):
+        calls.append(path)
+        return shorten(path)
+
+    moments._core_census.cache_clear()
+    monkeypatch.setattr(moments, "shorten", counting_shorten)
+    moment_table(1.0, 0.2, 10)
+    moment_table(0.5, 2.0, 10)
+    # singleton-free paths of lengths 4..10: 4 + 11 + 41 + 162 + 715 + 3425 + 17722
+    assert len(calls) == len(set(calls)) == 22_080
 
 
 @pytest.mark.parametrize(

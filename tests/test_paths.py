@@ -1,9 +1,10 @@
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from heavymp.combinatorics import count_c0, stirling2
+from heavymp.combinatorics import bell, count_c0, stirling2, stirling2_assoc
 from heavymp.paths import (
     PathClass,
     canonicalize,
@@ -16,6 +17,7 @@ from heavymp.paths import (
     partition_to_path,
     path_to_partition,
     shorten,
+    singleton_free_paths,
 )
 
 paths_strategy = st.lists(st.integers(min_value=1, max_value=5), max_size=10).map(tuple)
@@ -185,3 +187,38 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         list(enumerate_canonical_paths(13, 2))
     assert len(list(enumerate_canonical_paths(13, 2, k_max=13))) == stirling2(13, 2)
+
+
+def test_singleton_free_counts_match_associated_stirling():
+    for m in range(1, 11):
+        total = 0
+        for r in range(1, m + 1):
+            stream = list(singleton_free_paths(m, r))
+            assert len(stream) == stirling2_assoc(m, r)
+            assert all(max(p) == r for p in stream)
+            total += len(stream)
+        assert sum(1 for _ in singleton_free_paths(m)) == total
+
+
+def test_singleton_free_stream_is_lexicographic_and_canonical():
+    for m in range(1, 10):
+        stream = list(singleton_free_paths(m))
+        assert all(a < b for a, b in zip(stream, stream[1:]))
+        for path in stream:
+            assert len(path) == m and is_canonical(path)
+            assert min(Counter(path).values()) >= 2
+        if m <= 8:
+            assert stream == [
+                p
+                for p in sorted(p for r in range(1, m + 1) for p in enumerate_canonical_paths(m, r))
+                if min(Counter(p).values()) >= 2
+            ]
+
+
+def test_paths_split_into_singletons_and_singleton_free_rest():
+    # a canonical length-k path is a choice of its singleton positions and a
+    # singleton-free canonical path on the rest; the empty rest is the one
+    # path whose labels are all singletons
+    for k in range(1, 11):
+        rest = sum(comb(k, m) * sum(1 for _ in singleton_free_paths(m)) for m in range(2, k + 1))
+        assert 1 + rest == bell(k)
