@@ -15,8 +15,8 @@ from typing import Iterator
 
 #: Default cap on the ground-set size for full enumerations.  A cold
 #: ``heavy_mp_moment`` call, which shortens the singleton-free paths of every
-#: length up to k, takes about 1 s at k = 10, 7 s at k = 11 and 65 s at
-#: k = 12 on a 2-core Xeon VM.
+#: length up to k, takes about 0.5 s at k = 10, 3 s at k = 11 and 15-17 s at
+#: k = 12 on a 2-core Xeon VM, nearly all of it in that path census.
 K_MAX = 12
 
 

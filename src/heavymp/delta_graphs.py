@@ -4,27 +4,20 @@ For paths I and T of common length k the graph has a down-edge (i_l, t_l)
 and an up-edge (i_{l+1}, t_l) for every step l, with the wraparound
 i_{k+1} = i_1; orientation is dropped and parallel edges are counted by an
 integer degree.  Only pairs whose edge degrees are all even and whose
-skeleton (parallel edges glued) is a tree contribute at leading order, and
-the levels C_s(I) of such column paths with s distinct labels are generated
-bottom-up through 1-refinements.
+skeleton (parallel edges glued) is a tree contribute at leading order.  The
+levels C_s(I) of such column paths with s distinct labels are generated as
+the closed walks i_1 t_1 i_2 t_2 ... i_k t_k i_1 that never close a cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Collection, Iterator
 
 # SetPartition is no longer built here; the name stays because the benchmark
 # tracer (perfbench/spans.py) counts constructions in this namespace
 from heavymp.combinatorics import K_MAX, SetPartition  # noqa: F401
-from heavymp.paths import (
-    Path,
-    canonicalize,
-    enumerate_canonical_paths,
-    is_canonical,
-    shorten,
-)
+from heavymp.paths import Path, enumerate_canonical_paths, is_canonical, shorten
 
 
 @dataclass(frozen=True)
@@ -106,30 +99,6 @@ def is_tree_skeleton(graph: DeltaGraph) -> bool:
     return _is_tree(graph.degrees, n_vertices)
 
 
-def refine_candidates(t_path: Path, i_path: Path | None = None) -> Iterator[Path]:
-    """Canonical paths whose partition is a 1-refinement of partition(T).
-
-    Splits the positions of one label of T into two non-empty parts in every
-    possible way: the part without the label's first position moves to a new
-    label.  Distinct splits give distinct partitions, so each refinement is
-    yielded once.  The optional ``i_path`` is only checked for length
-    compatibility, validation of the refined pairs is the caller's job.
-    """
-    if i_path is not None and len(i_path) != len(t_path):
-        raise ValueError("i_path and t_path must have the same length")
-    if not t_path or not is_canonical(t_path):
-        raise ValueError(f"path {t_path} is not a non-empty canonical path")
-    new_label = max(t_path) + 1
-    for label in range(1, new_label):
-        _first, *rest = (pos for pos, v in enumerate(t_path) if v == label)
-        for size in range(1, len(rest) + 1):
-            for moved in combinations(rest, size):
-                refined = list(t_path)
-                for pos in moved:
-                    refined[pos] = new_label
-                yield canonicalize(refined)
-
-
 @dataclass(frozen=True)
 class ContributingSets:
     """Levels C_1(I), C_2(I), ... of contributing column paths, and t*."""
@@ -148,13 +117,48 @@ class ContributingSets:
                 yield s, t_path
 
 
-def _contributes(i_path: Path, t_path: Path, n_vertices: int) -> bool:
-    """Even edge degrees and a tree skeleton on ``n_vertices`` vertices."""
-    degrees = _edge_degrees(i_path, t_path)
-    for d in degrees.values():
-        if d % 2:
-            return False
-    return _is_tree(degrees, n_vertices)
+
+
+def _tree_walks(i_path: Path) -> dict[int, list[Path]]:
+    """Column paths T whose closed walk i_1 t_1 i_2 t_2 ... i_k t_k i_1 stays
+    on a tree, by label count s, each list in lexicographic order.
+
+    A closed walk on a tree crosses every edge an even number of times, so
+    these are exactly the T with even edge degrees and a tree skeleton.  The
+    walk picks t_l among the T-neighbours of i_l or as the new label s + 1,
+    and the step on to i_{l+1} must follow an edge already there or reach an
+    I-vertex not yet visited; any other step closes a cycle.  New labels come
+    in order, so each T is canonical, and an I-vertex gains T-neighbours in
+    increasing order, so the choices are tried in increasing order.
+    """
+    k = len(i_path)
+    nbrs: list[list[int]] = [[] for _ in range(max(i_path) + 1)]
+    fresh = [0 < l == i_path.index(v) for l, v in enumerate(i_path)]
+    t_path: list[int] = []
+    found: dict[int, list[Path]] = {}
+
+    def step(l: int, s: int) -> None:
+        i, nxt = i_path[l], (l + 1) % k
+        j = i_path[nxt]
+        for t in nbrs[i] + [s + 1]:
+            if t > s:
+                nbrs[i].append(t)
+            if fresh[nxt]:
+                nbrs[j].append(t)
+            if t in nbrs[j]:
+                t_path.append(t)
+                if nxt:
+                    step(nxt, max(s, t))
+                else:
+                    found.setdefault(max(s, t), []).append(tuple(t_path))
+                t_path.pop()
+            if fresh[nxt]:
+                nbrs[j].pop()
+            if t > s:
+                nbrs[i].pop()
+
+    step(0, 0)
+    return found
 
 
 def contributing_sets(
@@ -162,10 +166,11 @@ def contributing_sets(
 ) -> ContributingSets:
     """Build the non-empty levels C_s(I) for an irreducible canonical path.
 
-    ``mode="refine"`` grows level s+1 from 1-refinements of level s (the
-    first empty level stops the construction, which is valid because
-    emptiness is monotone for s >= 2); ``mode="brute"`` filters all
-    canonical s-paths of length k and serves as the oracle.
+    ``mode="refine"`` generates the contributing column paths directly, as
+    the closed walks of ``_tree_walks``, and groups them by label count;
+    ``mode="brute"`` filters all canonical s-paths of length k for even edge
+    degrees and a tree skeleton, level by level up to the first empty one,
+    and serves as the oracle.
     """
     if not is_canonical(i_path):
         raise ValueError(f"path {i_path} is not canonical")
@@ -180,28 +185,21 @@ def contributing_sets(
         raise ValueError(f"unknown mode {mode!r}")
 
     k = len(i_path)
-    r = max(i_path)
+    if mode == "refine":
+        found = _tree_walks(i_path)
+        # no level below t* is empty, so these match the brute-force levels,
+        # which stop at the first empty one
+        assert sorted(found) == list(range(1, len(found) + 1))
+        return ContributingSets(i_path, tuple(tuple(found[s]) for s in sorted(found)))
     levels: list[tuple[Path, ...]] = [((1,) * k,)]
-    s = 2
-    # an irreducible path never exhausts the bound s <= k - r + 1
-    while s <= k - r + 1:
-        if mode == "brute":
-            candidates: Iterator[Path] = enumerate_canonical_paths(k, s, k_max)
-        else:
-            seen: set[Path] = set()
-            candidates = (
-                c
-                for t_prev in levels[-1]
-                for c in refine_candidates(t_prev, i_path)
-                if not (c in seen or seen.add(c))
-            )
-        level = []
-        for t_path in candidates:
-            if _contributes(i_path, t_path, r + s):
-                assert s <= k - r + 1  # distinct-label bound for contributing T
-                level.append(t_path)
+    # a contributing T has r + s - 1 <= k skeleton edges
+    for s in range(2, k - max(i_path) + 2):
+        level = tuple(
+            t_path
+            for t_path in enumerate_canonical_paths(k, s, k_max)
+            if is_even(graph := build_delta(i_path, t_path)) and is_tree_skeleton(graph)
+        )
         if not level:
             break
-        levels.append(tuple(sorted(level)))
-        s += 1
+        levels.append(level)
     return ContributingSets(i_path, tuple(levels))

@@ -1,12 +1,10 @@
 import pytest
 
-from heavymp.combinatorics import stirling2
 from heavymp.delta_graphs import (
     build_delta,
     contributing_sets,
     is_even,
     is_tree_skeleton,
-    refine_candidates,
 )
 from heavymp.paths import PathClass, enumerate_class
 
@@ -63,34 +61,37 @@ def test_example_two_cycles_not_tree():
     assert graph.n_edges - (len(graph.i_vertices) + len(graph.t_vertices)) + 1 == 2
 
 
-def test_refine_candidates_from_single_block():
-    refined = sorted(refine_candidates((1, 1, 1, 1)))
-    assert len(refined) == stirling2(4, 2)
-    assert all(max(p) == 2 for p in refined)
+def test_walk_matches_brute_force_up_to_length_8():
+    checked = 0
+    for k in range(4, 9):
+        for r in range(2, k // 2 + 1):
+            for i_path in enumerate_class(k, r, PathClass.IRREDUCIBLE):
+                fast = contributing_sets(i_path)
+                assert fast.levels == contributing_sets(i_path, mode="brute").levels
+                checked += 1
+    assert checked == 86
 
 
-def test_refine_candidates_all_singletons():
-    assert list(refine_candidates((1, 2))) == []
+def _census_classes():
+    from heavymp.moments import _core_census
+
+    cores = {core for m in range(4, 11) for (core, _simples), _count in _core_census(m)}
+    return [contributing_sets(core) for core in sorted(cores)]
 
 
-def test_refine_candidates_are_the_one_refinements():
-    # a 1-refinement of T has one more label and merging some label of it
-    # into another gives T back
-    from heavymp.paths import canonicalize, enumerate_canonical_paths
+def test_walk_yields_only_contributing_pairs():
+    for sets in _census_classes():
+        for s, t_path in sets.all_pairs():
+            assert max(t_path) == s
+            graph = build_delta(sets.i_path, t_path)
+            assert is_even(graph) and is_tree_skeleton(graph)
 
-    t_path = (1, 2, 1, 1, 3, 2, 1)
-    refined = list(refine_candidates(t_path))
-    expected = [
-        c
-        for c in enumerate_canonical_paths(len(t_path), max(t_path) + 1)
-        if any(
-            canonicalize(tuple(a if v == b else v for v in c)) == t_path
-            for a in range(1, max(c) + 1)
-            for b in range(a + 1, max(c) + 1)
-        )
-    ]
-    assert sorted(refined) == expected
-    assert len(set(refined)) == len(refined)
+
+def test_walk_pair_count_over_census_classes():
+    classes = _census_classes()
+    assert len(classes) == 170
+    assert sum(1 for sets in classes for _pair in sets.all_pairs()) == 185
+    assert max(sets.t_star for sets in classes) == 3
 
 
 def tree_by_search(graph):
@@ -190,9 +191,6 @@ def test_refinement_mode_matches_brute_force():
         (1, 2, 1, 2, 1, 3, 4, 3, 4, 3),  # t* = 3, two paths at level 2
         (1, 2, 1, 3, 4, 3, 4, 3, 1, 2),
     ]
-    for k in (6, 8):
-        for r in range(2, k // 2 + 1):
-            targets.extend(enumerate_class(k, r, PathClass.IRREDUCIBLE))
     for i_path in targets:
         fast = contributing_sets(i_path, mode="refine")
         slow = contributing_sets(i_path, mode="brute")

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -313,3 +314,12 @@ def test_cores_lie_in_irreducible_union():
                 assert 4 <= len(core) <= k
                 assert 2 <= max(core) <= k // 2
                 assert shorten(core).shortened == core
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("HEAVYMP_FULL_SCALE"),
+    reason="a cold k=12 moment takes about 15 s; set HEAVYMP_FULL_SCALE=1",
+)
+def test_heavy_moment_k12():
+    assert heavy_mp_moment(1.0, 0.2, 12) == pytest.approx(1268.2439912179786, rel=1e-12, abs=0)
