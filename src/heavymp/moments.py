@@ -3,8 +3,10 @@
 The classical moments ``mp_moment`` are evaluated in rational arithmetic.
 The heavy-tailed moments ``heavy_mp_moment`` are assembled path-wise: each
 canonical path of length k shortens to a core; completely reducible paths
-(empty core) sum to the classical part, and each non-empty core contributes a
-gamma-function product evaluated over its contributing column-path levels.
+(empty core) sum to the classical part, and each non-empty core contributes
+gamma^(r-1) times a polynomial in alpha/2 with rational coefficients, summed
+over its contributing column-path levels.  So d_k = mu_k - beta_k is a
+polynomial in alpha and gamma, evaluated exactly and rounded once.
 
 A label that occurs once in a path is simple before shortening starts, and
 the shortened core does not depend on the order of removals, so a path has
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from heavymp.combinatorics import K_MAX, stirling2, stirling2_assoc
@@ -33,15 +35,9 @@ from heavymp.paths import (  # noqa: F401  (perfbench's tracer wraps enumerate_c
     singleton_free_paths,
 )
 
+# int, Fraction or str; a float is taken at its exact binary value, so pass a
+# str or Fraction for decimal-exact gammas
 RationalLike = int | Fraction | str
-
-
-def _as_fraction(x: RationalLike | float) -> Fraction:
-    if isinstance(x, float):
-        # exact binary value of the float; pass a str or Fraction for
-        # decimal-exact gammas
-        return Fraction(x)
-    return Fraction(x)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -61,7 +57,7 @@ def mp_moment_exact(gamma: RationalLike, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    g = _as_fraction(gamma)
+    g = Fraction(gamma)
     if g <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return sum(
@@ -72,60 +68,66 @@ def mp_moment_exact(gamma: RationalLike, k: int) -> Fraction:
 
 def mp_moment(gamma: float, k: int) -> float:
     _check_gamma(gamma)
-    return float(mp_moment_exact(_as_fraction(gamma), k))
+    return float(mp_moment_exact(gamma, k))
+
+
+def _times_shifts(poly: list[int], m: int) -> list[int]:
+    """poly(a) Gamma(m - a) / Gamma(1 - a) = poly(a) prod_{j=1}^{m-1} (j - a), ascending in a."""
+    for j in range(1, m):
+        poly = [j * c - lower for c, lower in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def self_normalized_moment_limit(k_parts: Sequence[int], alpha: float) -> float:
     """Limit of C(n, r) E[Y_11^(2k_1) ... Y_1r^(2k_r)] for row-normalized data.
 
     Equals (a/2)^(r-1) prod_j Gamma(k_j - a/2) / (r Gamma(1 - a/2)^r Gamma(k))
-    with k = sum k_j and a the tail index.
+    with k = sum k_j and a the tail index, evaluated exactly.
     """
     _check_alpha(alpha)
     if not k_parts or any(kj < 1 for kj in k_parts):
         raise ValueError(f"k_parts must be non-empty positive integers, got {k_parts}")
     r = len(k_parts)
-    k = sum(k_parts)
-    log_value = (
-        (r - 1) * math.log(alpha / 2)
-        + sum(math.lgamma(kj - alpha / 2) for kj in k_parts)
-        - math.log(r)
-        - r * math.lgamma(1 - alpha / 2)
-        - math.lgamma(k)
-    )
-    return math.exp(log_value)
+    poly = [0] * (r - 1) + [1]
+    for kj in k_parts:
+        poly = _times_shifts(poly, kj)
+    a = Fraction(alpha) / 2
+    return float(sum(c * a**i for i, c in enumerate(poly)) / (r * factorial(sum(k_parts) - 1)))
+
+
+@lru_cache(maxsize=None)
+def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
+    """P_I, ascending in a = alpha/2, with limit_pF(I) = gamma^(r-1) P_I(a).
+
+    A contributing pair's skeleton is a tree with r + s - 1 edges, so the
+    Gamma(1 - a) powers of the limit cancel; the pair adds a^(s-1)
+    prod_i (deg_i - 1)!/(c_i - 1)! prod_e prod_{j=1}^{m_e-1} (j - a), where 2 m_e
+    is the degree of edge e and c_i the multiplicity of label i.
+    """
+    labels = range(1, max(i_path) + 1)
+    multiplicities = prod(factorial(i_path.count(i) - 1) for i in labels)
+    total = [Fraction(0)] * len(i_path)
+    for s, t_path in contributing_sets(i_path).all_pairs():
+        graph = build_delta(i_path, t_path)
+        weight = Fraction(prod(factorial(graph.i_degree(i) - 1) for i in labels), multiplicities)
+        poly = [0] * (s - 1) + [1]
+        for _edge, degree in graph.edge_degrees:
+            poly = _times_shifts(poly, degree // 2)
+        for i, c in enumerate(poly):
+            total[i] += weight * c
+    return tuple(total)
 
 
 def limit_pF(i_path: Path, alpha: float, gamma: float) -> float:
     """Limit of p^(r-1) F(I) for an irreducible canonical r-path I.
 
-    Sums, over the contributing column-path levels of I, the products of
-    gamma functions of vertex degrees, vertex multiplicities and halved edge
-    degrees; all factors are positive so terms are accumulated in log space
-    without sign tracking.
+    The polynomial ``_core_polynomial`` evaluated exactly, rounded once.
     """
     _check_alpha(alpha)
     _check_gamma(gamma)
-    sets = contributing_sets(i_path)
-    r = max(i_path)
-    counts = {i: i_path.count(i) for i in range(1, r + 1)}
-    lg1 = math.lgamma(1 - alpha / 2)
-    total = 0.0
-    for s, t_path in sets.all_pairs():
-        graph = build_delta(i_path, t_path)
-        log_term = s * (math.log(alpha / 2) - lg1)
-        for i in range(1, r + 1):
-            log_term += math.lgamma(graph.i_degree(i)) - math.lgamma(counts[i])
-        for _edge, degree in graph.edge_degrees:
-            log_term += math.lgamma((degree - alpha) / 2)
-        total += math.exp(log_term)
-    prefactor = (r - 1) * (math.log(gamma) - lg1) + math.log(2 / alpha)
-    return math.exp(prefactor) * total
-
-
-@lru_cache(maxsize=4096)
-def _limit_pF_cached(i_path: Path, alpha: float, gamma: float) -> float:
-    return limit_pF(i_path, alpha, gamma)
+    a = Fraction(alpha) / 2
+    value = sum(c * a**i for i, c in enumerate(_core_polynomial(i_path)))
+    return float(Fraction(gamma) ** (max(i_path) - 1) * value)
 
 
 def heavy_mp_moment(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
@@ -145,8 +147,9 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> fl
         d_k = sum_{m=4..k} C(k, m) gamma^(k-m) G_m,
 
     where G_m sums gamma^simples * limit_pF(core) over singleton-free
-    canonical paths of length m.  limit_pF is evaluated once per dihedral
-    class of cores, since rotating or reversing a core leaves it unchanged.
+    canonical paths of length m, compiled once per m into a polynomial in
+    alpha/2 and gamma (``_gap_polynomial``).  d_k is evaluated exactly at the
+    binary values of alpha and gamma and rounded once.
     """
     _check_alpha(alpha)
     _check_gamma(gamma)
@@ -159,24 +162,35 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> fl
             f"{visited} singleton-free paths of lengths 4..{k}, a count that grows like "
             f"the Bell numbers"
         )
-    gap = 0.0
-    for m in range(4, k + 1):
-        g_m = sum(
-            count * gamma**simples * _limit_pF_cached(core, alpha, gamma)
-            for (core, simples), count in _core_census(m)
-        )
-        gap += comb(k, m) * gamma ** (k - m) * g_m
-    return gap
+    return float(_heavy_tail_gap_exact(Fraction(alpha), Fraction(gamma), k))
+
+
+def _heavy_tail_gap_exact(alpha: Fraction, gamma: Fraction, k: int) -> Fraction:
+    """d_k exactly, for any rational alpha and gamma (alpha = 0 and 2 included)."""
+    terms = (
+        comb(k, m) * c * (alpha / 2) ** i * gamma ** (k - m + j)
+        for m in range(4, k + 1)
+        for (i, j), c in _gap_polynomial(m)
+    )
+    return sum(terms, Fraction(0))
 
 
 @lru_cache(maxsize=None)
-def _core_census(m: int) -> tuple[tuple[tuple[Path, int], int], ...]:
-    """Singleton-free canonical paths of length m with a non-empty core,
-    counted by (dihedral representative of the core, simples).
+def _gap_polynomial(m: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """G_m as ((i, j), coefficient of (alpha/2)^i gamma^j) items, adding
+    gamma^(simples + r - 1) P_core once per dihedral class of cores, since
+    rotating or reversing a core leaves its limit unchanged."""
+    poly: Counter[tuple[int, int]] = Counter()
+    for (core, simples), count in _core_census(m).items():
+        for i, c in enumerate(_core_polynomial(core)):
+            if c:
+                poly[i, simples + max(core) - 1] += count * c
+    return tuple(poly.items())
 
-    Items come in sorted key order, so sums over them do not depend on how
-    the counts were gathered.
-    """
+
+def _core_census(m: int) -> Counter[tuple[Path, int]]:
+    """Singleton-free canonical paths of length m with a non-empty core,
+    counted by (dihedral representative of the core, simples)."""
     by_core: Counter[tuple[Path, int]] = Counter()
     for path in singleton_free_paths(m):
         result = shorten(path)
@@ -185,7 +199,7 @@ def _core_census(m: int) -> tuple[tuple[tuple[Path, int], int], ...]:
     census: Counter[tuple[Path, int]] = Counter()
     for (core, simples), count in by_core.items():
         census[dihedral_representative(core), simples] += count
-    return tuple(sorted(census.items()))
+    return census
 
 
 @dataclass(frozen=True)
@@ -227,7 +241,13 @@ class ModifiedPoisson:
         if k < 0:
             return 0.0
         if k == 0:
-            return 1 - 1 / self.gamma + math.exp(-self.gamma) / self.gamma
+            # 1 - (1 - e^-g) / g, which cancels catastrophically as g -> 0;
+            # below 1 sum g/2 - g^2/6 + g^3/24 - ..., whose terms after the
+            # 19th are under 1e-19 of the first
+            g = self.gamma
+            if g >= 1:
+                return 1 + math.expm1(-g) / g
+            return -math.fsum((-g) ** n / math.factorial(n + 1) for n in range(1, 20))
         # log-space guards against huge factorials for deep tail queries
         return math.exp(-self.gamma + (k - 1) * math.log(self.gamma) - math.lgamma(k + 1))
 
@@ -259,5 +279,5 @@ def boundary_moment_alpha0(gamma: float, k: int) -> float:
     _check_gamma(gamma)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    g = _as_fraction(gamma)
+    g = Fraction(gamma)
     return float(sum(g**r * stirling2(k, r) for r in range(1, k + 1)) / g)

@@ -75,7 +75,7 @@ def test_walk_matches_brute_force_up_to_length_8():
 def _census_classes():
     from heavymp.moments import _core_census
 
-    cores = {core for m in range(4, 11) for (core, _simples), _count in _core_census(m)}
+    cores = {core for m in range(4, 11) for core, _simples in _core_census(m)}
     return [contributing_sets(core) for core in sorted(cores)]
 
 

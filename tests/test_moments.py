@@ -7,6 +7,7 @@ import pytest
 from heavymp.combinatorics import stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import (
+    _heavy_tail_gap_exact,
     boundary_modified_poisson,
     boundary_moment_alpha0,
     heavy_mp_moment,
@@ -89,10 +90,10 @@ def test_limit_pF_rejects_reducible():
         limit_pF((1, 2, 3), 1.0, 0.2)
 
 
-def brute_limit_pF(i_path, alpha, gamma):
+def brute_limit_pF(i_path, alpha, gamma, mode="brute"):
     """Direct summation of the limit formula over brute-forced levels."""
     r = max(i_path)
-    sets = contributing_sets(i_path, mode="brute")
+    sets = contributing_sets(i_path, mode=mode)
     g1 = math.gamma(1 - alpha / 2)
     total = 0.0
     for s, level in enumerate(sets.levels, start=1):
@@ -114,6 +115,31 @@ def test_limit_pF_level_two_path_brute_force():
 
 
 FOLD_POINTS = [(0.5, 0.1), (1.0, 0.2), (1.75, 2.0)]
+
+
+def test_limit_pF_matches_gamma_function_oracle():
+    from heavymp.paths import PathClass, enumerate_class
+
+    cores = [
+        core
+        for k in range(4, 9)
+        for r in range(2, k // 2 + 1)
+        for core in enumerate_class(k, r, PathClass.IRREDUCIBLE)
+    ]
+    assert len(cores) == 86
+    for core in cores:
+        for alpha, gamma in FOLD_POINTS:
+            assert limit_pF(core, alpha, gamma) == pytest.approx(
+                brute_limit_pF(core, alpha, gamma), rel=1e-12
+            )
+    # below length 12 every I-vertex of a contributing pair has at most two
+    # T-neighbours, so (deg_i - 1)! = 1; here one pair has a vertex with three,
+    # and its levels come from the walk, as mode="brute" would take too long
+    core = (1, 2, 1, 2, 1, 3, 1, 3, 1, 4, 1, 4)
+    for alpha, gamma in FOLD_POINTS:
+        assert limit_pF(core, alpha, gamma) == pytest.approx(
+            brute_limit_pF(core, alpha, gamma, mode="refine"), rel=1e-12
+        )
 
 
 def test_limit_pF_constant_on_dihedral_classes():
@@ -173,7 +199,7 @@ def test_moment_table_shortens_each_singleton_free_path_once(monkeypatch):
         calls.append(path)
         return shorten(path)
 
-    moments._core_census.cache_clear()
+    moments._gap_polynomial.cache_clear()
     monkeypatch.setattr(moments, "shorten", counting_shorten)
     moment_table(1.0, 0.2, 10)
     moment_table(0.5, 2.0, 10)
@@ -211,6 +237,52 @@ def test_gap_closed_forms():
             )
 
 
+IDENTITY_GAMMAS = [Fraction(1, 5), Fraction(1, 3), Fraction(1), Fraction(7, 2)]
+
+
+def test_gap_closed_forms_exact():
+    for alpha in (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(19, 10), Fraction(2)):
+        for gamma in IDENTITY_GAMMAS:
+            c = (1 - alpha / 2) ** 2
+            assert _heavy_tail_gap_exact(alpha, gamma, 4) == c * gamma
+            assert _heavy_tail_gap_exact(alpha, gamma, 5) == c * (5 * gamma + 5 * gamma**2)
+
+
+def test_gap_vanishes_at_alpha_two():
+    for gamma in IDENTITY_GAMMAS:
+        for k in range(1, 11):
+            assert _heavy_tail_gap_exact(Fraction(2), gamma, k) == 0
+
+
+def test_alpha_zero_moments_are_modified_poisson_moments():
+    # beta_k + d_k(0, gamma) = (1/gamma) sum_r gamma^r S(k, r), exactly
+    for gamma in IDENTITY_GAMMAS:
+        for k in range(1, 11):
+            poisson = sum(gamma**r * stirling2(k, r) for r in range(1, k + 1)) / gamma
+            mu = mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(Fraction(0), gamma, k)
+            assert mu == poisson
+
+
+def test_gap_does_not_depend_on_census_order(monkeypatch):
+    from collections import Counter
+
+    from heavymp import moments
+
+    census = moments._core_census
+
+    def reversed_census(m):
+        return Counter(dict(reversed(census(m).items())))
+
+    before = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 9)]
+    monkeypatch.setattr(moments, "_core_census", reversed_census)
+    moments._gap_polynomial.cache_clear()
+    try:
+        after = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 9)]
+    finally:
+        moments._gap_polynomial.cache_clear()
+    assert after == before
+
+
 def test_gap_nonnegative_and_positive_from_k4():
     for k in range(1, 8):
         gap = heavy_tail_gap(1.0, 0.5, k)
@@ -246,6 +318,14 @@ def test_boundary_modified_poisson_pmf():
         assert law.pmf(0) >= 0
         total = sum(law.pmf(j) for j in range(200))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_boundary_pmf0_without_cancellation():
+    for gamma in (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0):
+        # 1 - (1 - e^-g) / g = sum_{n >= 1} (-1)^(n+1) g^n / (n+1)!, summed exactly
+        g = Fraction(gamma)
+        exact = -sum((-g) ** n / math.factorial(n + 1) for n in range(1, 60))
+        assert boundary_modified_poisson(gamma).pmf(0) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_boundary_law_mean_is_one():
