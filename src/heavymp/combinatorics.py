@@ -14,9 +14,10 @@ from math import comb
 from typing import Iterator
 
 #: Default cap on the ground-set size for full enumerations.  A cold
-#: ``heavy_mp_moment`` call, which shortens the singleton-free paths of every
-#: length up to k, takes about 0.5 s at k = 10, 3 s at k = 11 and 15-17 s at
-#: k = 12 on a 2-core Xeon VM, nearly all of it in that path census.
+#: ``heavy_mp_moment`` call, which walks the irreducible paths of every length
+#: up to k, takes about 0.06 s at k = 10, 0.27 s at k = 11 and 1.4 s at
+#: k = 12 on a 2-core Xeon VM; k = 13 would take about 8.5 s, half of it
+#: folding the 296,582 irreducible paths of length 13 into classes.
 K_MAX = 12
 
 

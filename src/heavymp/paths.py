@@ -162,9 +162,11 @@ def enumerate_simples(k: int, r: int, q: int, k_max: int = K_MAX) -> Iterator[Pa
             yield path
 
 
-def singleton_free_paths(k: int, r: int | None = None) -> Iterator[Path]:
+def singleton_free_paths(k: int, r: int | None = None, run_free: bool = False) -> Iterator[Path]:
     """Yield each canonical path of length k in which every label occurs at
     least twice, in lexicographic order; with ``r``, only those with r labels.
+    With ``run_free``, only the irreducible ones: no entry repeats the one
+    before it, and the last is not 1, which would repeat the first.
 
     A prefix is extended only while it can still be completed: each label seen
     once needs one more position, and each of the r labels not yet seen needs
@@ -178,7 +180,10 @@ def singleton_free_paths(k: int, r: int | None = None) -> Iterator[Path]:
     def extend(singles: int, seen: int) -> Iterator[Path]:
         # singles: labels seen once so far; seen: the largest label so far
         left = k - len(path) - 1  # positions after the next one
-        for v in range(1, min(seen + 1, top) + 1):
+        prev = path[-1] if run_free and path else 0
+        for v in range(2 if run_free and not left else 1, min(seen + 1, top) + 1):
+            if v == prev:
+                continue
             c = count[v]
             s = singles + 1 if c == 0 else singles - 1 if c == 1 else singles
             if s + 2 * max(need - max(seen, v), 0) <= left:
@@ -201,6 +206,43 @@ def count_irreducible(k: int, r: int) -> int:
     at least twice and no two cyclically consecutive entries are equal.
     """
     _check_range(k, r)
-    return sum(
-        1 for path in singleton_free_paths(k, r) if all(path[j] != path[j - 1] for j in range(k))
-    )
+    return sum(1 for _ in singleton_free_paths(k, r, run_free=True))
+
+
+def irreducible_classes(k: int) -> Iterator[tuple[Path, int]]:
+    """Yield each dihedral class of irreducible canonical paths of length k
+    once, as its smallest canonical form with the number of canonical paths
+    in the class, in lexicographic order.
+
+    A walked path is kept when none of its rotations and reversals
+    canonicalizes smaller (``dihedral_representative`` would return it).
+    """
+    for path in singleton_free_paths(k, run_free=True):
+        size = _class_size(path)
+        if size:
+            yield path, size
+
+
+def _class_size(path: Path) -> int:
+    """Number of distinct canonical forms among the 2k rotations and
+    reversals of a canonical path, or 0 as soon as one is smaller than it.
+
+    Each form is compared while it is relabelled, up to the first position
+    that differs.  The forms equal to the path make up a subgroup of the
+    2k symmetries, and 2k over its order is the number of distinct forms.
+    """
+    k = len(path)
+    fixed = 0
+    for j in range(k):
+        rotation = path[j:] + path[:j]
+        for form in (rotation, rotation[::-1]):
+            relabel: dict[int, int] = {}
+            for v, w in zip(form, path):
+                label = relabel.setdefault(v, len(relabel) + 1)
+                if label != w:
+                    if label < w:
+                        return 0
+                    break
+            else:
+                fixed += 1
+    return 2 * k // fixed

@@ -73,9 +73,9 @@ def test_walk_matches_brute_force_up_to_length_8():
 
 
 def _census_classes():
-    from heavymp.moments import _core_census
+    from heavymp.paths import irreducible_classes
 
-    cores = {core for m in range(4, 11) for core, _simples in _core_census(m)}
+    cores = [core for m in range(4, 11) for core, _size in irreducible_classes(m)]
     return [contributing_sets(core) for core in sorted(cores)]
 
 

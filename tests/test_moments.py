@@ -1,13 +1,19 @@
 import math
 import os
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
 from heavymp.combinatorics import stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import (
+    _core_polynomial,
     _heavy_tail_gap_exact,
+    _irreducible_counts,
+    _irreducible_polynomial,
     boundary_modified_poisson,
     boundary_moment_alpha0,
     heavy_mp_moment,
@@ -59,10 +65,17 @@ def test_self_normalized_closed_form_alpha1():
 
 
 def test_self_normalized_gamma_validation():
-    # the underlying gamma evaluation: Gamma(1/2) = sqrt(pi), Gamma(n) = (n-1)!
-    assert math.exp(math.lgamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    for n in range(1, 15):
-        assert math.exp(math.lgamma(n)) == pytest.approx(math.factorial(n - 1), rel=1e-12)
+    # the exact product against (a/2)^(r-1) prod_j Gamma(k_j - a/2) / (r Gamma(1 - a/2)^r Gamma(k))
+    for k_parts in ([1], [2], [5], [1, 1], [2, 3], [1, 2, 4], [3, 3, 1, 2]):
+        r, k = len(k_parts), sum(k_parts)
+        for alpha in (0.1, 0.5, 1.0, 1.5, 1.9):
+            a = alpha / 2
+            expected = (
+                a ** (r - 1)
+                * math.prod(math.gamma(kj - a) for kj in k_parts)
+                / (r * math.gamma(1 - a) ** r * math.gamma(k))
+            )
+            assert self_normalized_moment_limit(k_parts, alpha) == pytest.approx(expected, rel=1e-12)
 
 
 def test_self_normalized_errors():
@@ -189,22 +202,27 @@ def test_heavy_moment_matches_unfolded_sum():
             )
 
 
-def test_moment_table_shortens_each_singleton_free_path_once(monkeypatch):
-    from heavymp import moments
-    from heavymp.paths import shorten
+def test_moment_table_walks_each_irreducible_path_once(monkeypatch):
+    from heavymp import moments, paths
 
-    calls = []
+    walk = paths.singleton_free_paths
+    walked = []
 
-    def counting_shorten(path):
-        calls.append(path)
-        return shorten(path)
+    def counting_walk(*args, **kwargs):
+        for path in walk(*args, **kwargs):
+            walked.append(path)
+            yield path
 
-    moments._gap_polynomial.cache_clear()
-    monkeypatch.setattr(moments, "shorten", counting_shorten)
-    moment_table(1.0, 0.2, 10)
-    moment_table(0.5, 2.0, 10)
-    # singleton-free paths of lengths 4..10: 4 + 11 + 41 + 162 + 715 + 3425 + 17722
-    assert len(calls) == len(set(calls)) == 22_080
+    moments._irreducible_polynomial.cache_clear()
+    monkeypatch.setattr(paths, "singleton_free_paths", counting_walk)
+    try:
+        moment_table(1.0, 0.2, 10)
+        moment_table(0.5, 2.0, 10)
+    finally:
+        moments._irreducible_polynomial.cache_clear()
+    # irreducible paths of lengths 4..10: 1 + 0 + 5 + 14 + 66 + 307 + 1554, where
+    # the path census shortened the 22,080 singleton-free paths of those lengths
+    assert len(walked) == len(set(walked)) == 1_947
 
 
 @pytest.mark.parametrize(
@@ -263,24 +281,154 @@ def test_alpha_zero_moments_are_modified_poisson_moments():
             assert mu == poisson
 
 
-def test_gap_does_not_depend_on_census_order(monkeypatch):
-    from collections import Counter
-
+def test_gap_does_not_depend_on_class_order(monkeypatch):
     from heavymp import moments
 
-    census = moments._core_census
+    classes = moments.irreducible_classes
 
-    def reversed_census(m):
-        return Counter(dict(reversed(census(m).items())))
+    def reversed_classes(length):
+        return reversed(list(classes(length)))
 
-    before = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 9)]
-    monkeypatch.setattr(moments, "_core_census", reversed_census)
-    moments._gap_polynomial.cache_clear()
+    before = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 11)]
+    monkeypatch.setattr(moments, "irreducible_classes", reversed_classes)
+    moments._irreducible_polynomial.cache_clear()
     try:
-        after = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 9)]
+        after = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 11)]
     finally:
-        moments._gap_polynomial.cache_clear()
+        moments._irreducible_polynomial.cache_clear()
     assert after == before
+
+
+@lru_cache(maxsize=None)
+def core_census(m):
+    """Oracle: the singleton-free canonical paths of length m with a non-empty
+    core, each shortened, counted by (dihedral representative of the core,
+    simples)."""
+    from heavymp.paths import dihedral_representative, shorten, singleton_free_paths
+
+    by_core = Counter()
+    for path in singleton_free_paths(m):
+        result = shorten(path)
+        if result.shortened:
+            by_core[result.shortened, result.simples] += 1
+    census = Counter()
+    for (core, simples), count in by_core.items():
+        census[dihedral_representative(core), simples] += count
+    return census
+
+
+def multiplicity(length, m, s):
+    """N(l, m, s): singleton-free length-m paths per canonical form of a
+    length-l core, with s simple removals."""
+    return comb(m, length + 2 * s) * comb(length + 2 * s, s)
+
+
+def check_census_multiplicity(m):
+    from heavymp.paths import irreducible_classes
+
+    expected = {
+        (core, s): size * multiplicity(length, m, s)
+        for length in range(4, m + 1)
+        for core, size in irreducible_classes(length)
+        for s in range((m - length) // 2 + 1)
+    }
+    assert dict(core_census(m)) == expected
+
+
+def test_census_counts_are_class_size_times_multiplicity():
+    for m in range(1, 11):
+        check_census_multiplicity(m)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("HEAVYMP_FULL_SCALE"),
+    reason="the census shortens 580,317 paths of length 12 in about 15 s; set HEAVYMP_FULL_SCALE=1",
+)
+def test_census_multiplicity_length12():
+    check_census_multiplicity(12)
+
+
+def test_gap_equals_census_sum():
+    # G_m from the census, gamma^(simples + r - 1) P_core per path, against
+    # sum_l sum_s N(l, m, s) gamma^s Q_l, coefficient by coefficient
+    census_poly = {}
+    for m in range(4, 11):
+        by_census, by_class = Counter(), Counter()
+        for (core, simples), count in core_census(m).items():
+            for i, c in enumerate(_core_polynomial(core)):
+                by_census[i, simples + max(core) - 1] += count * c
+        for length in range(4, m + 1):
+            for s in range((m - length) // 2 + 1):
+                for (i, j), c in _irreducible_polynomial(length):
+                    by_class[i, j + s] += multiplicity(length, m, s) * c
+        census_poly[m] = {key: c for key, c in by_census.items() if c}
+        assert census_poly[m] == {key: c for key, c in by_class.items() if c}
+    # and d_k = sum_m C(k, m) gamma^(k-m) G_m, as the census engine summed it
+    for alpha, gamma in [(0, Fraction(1, 3)), (2, Fraction(1, 5)), (1, Fraction(1, 5)),
+                         (Fraction(3, 2), Fraction(7, 10))]:
+        for k in range(1, 11):
+            census_gap = sum(
+                comb(k, m) * c * Fraction(alpha, 2) ** i * gamma ** (k - m + j)
+                for m in range(4, k + 1)
+                for (i, j), c in census_poly[m].items()
+            )
+            assert _heavy_tail_gap_exact(Fraction(alpha), gamma, k) == census_gap
+
+
+def test_irreducible_count_without_enumeration():
+    from heavymp.paths import count_irreducible
+
+    counts = _irreducible_counts(10)
+    for length in range(1, 11):
+        assert counts[length] == sum(count_irreducible(length, r) for r in range(1, length + 1))
+    # 1,947 of lengths 4..10, then 8,415 + 48,530 + 296,582
+    with pytest.raises(RuntimeError, match="the 355474 irreducible paths of lengths 4..13"):
+        heavy_tail_gap(1.0, 0.2, 13)
+
+
+def test_moments_are_rounded_once():
+    assert heavy_mp_moment(1.0, 0.2, 4) == 2.498
+    for alpha, gamma in FOLD_POINTS:
+        rounded = tuple(
+            float(mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(Fraction(alpha), Fraction(gamma), k))
+            for k in range(1, 11)
+        )
+        assert tuple(heavy_mp_moment(alpha, gamma, k) for k in range(1, 11)) == rounded
+        assert moment_table(alpha, gamma, 10).mu == rounded
+
+
+def exact_det(rows):
+    """Determinant of a square matrix of Fractions by exact elimination."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for j in range(c, len(a)):
+                a[r][j] -= f * a[c][j]
+    return det
+
+
+def test_moments_form_a_stieltjes_sequence():
+    # H_{alpha,gamma} is a law on [0, inf) whose support is not finite, so every
+    # Hankel matrix of its moments, and every one shifted by one, is positive definite
+    for alpha in (Fraction(i, 10) for i in range(1, 20, 2)):
+        for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)):
+            mu = [Fraction(1)] + [
+                mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k) for k in range(1, 11)
+            ]
+            for n in range(1, 7):
+                assert exact_det([[mu[i + j] for j in range(n)] for i in range(n)]) > 0
+            for n in range(1, 6):
+                assert exact_det([[mu[i + j + 1] for j in range(n)] for i in range(n)]) > 0
 
 
 def test_gap_nonnegative_and_positive_from_k4():
@@ -304,7 +452,7 @@ def test_heavy_moment_argument_errors():
 
 def test_moment_table():
     table = moment_table(1.0, 0.2, 5)
-    assert table.mu == tuple(b + d for b, d in zip(table.beta, table.d))
+    assert table.mu == tuple(heavy_mp_moment(1.0, 0.2, k) for k in range(1, 6))
     assert table.mu[0] == 1.0
     assert table.d[:3] == (0.0, 0.0, 0.0)
 
@@ -399,7 +547,7 @@ def test_cores_lie_in_irreducible_union():
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="a cold k=12 moment takes about 15 s; set HEAVYMP_FULL_SCALE=1",
+    reason="a paper-scale moment (a cold k=12 takes about 1.5 s); set HEAVYMP_FULL_SCALE=1",
 )
 def test_heavy_moment_k12():
     assert heavy_mp_moment(1.0, 0.2, 12) == pytest.approx(1268.2439912179786, rel=1e-12, abs=0)

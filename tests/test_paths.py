@@ -9,10 +9,12 @@ from heavymp.paths import (
     PathClass,
     canonicalize,
     classify,
+    dihedral_representative,
     count_irreducible,
     enumerate_canonical_paths,
     enumerate_class,
     enumerate_simples,
+    irreducible_classes,
     is_canonical,
     partition_to_path,
     path_to_partition,
@@ -222,3 +224,29 @@ def test_paths_split_into_singletons_and_singleton_free_rest():
     for k in range(1, 11):
         rest = sum(comb(k, m) * sum(1 for _ in singleton_free_paths(m)) for m in range(2, k + 1))
         assert 1 + rest == bell(k)
+
+
+def _is_run_free(path):
+    return all(path[j] != path[j - 1] for j in range(len(path)))
+
+
+def test_run_free_walk_is_the_irreducible_filter():
+    for m in range(1, 11):
+        assert list(singleton_free_paths(m, run_free=True)) == [
+            p for p in singleton_free_paths(m) if _is_run_free(p)
+        ]
+        for r in range(1, m // 2 + 1):
+            assert list(singleton_free_paths(m, r, run_free=True)) == [
+                p for p in singleton_free_paths(m, r) if _is_run_free(p)
+            ]
+
+
+def test_irreducible_classes_fold_by_dihedral_representative():
+    total = 0
+    for length in range(1, 11):
+        classes = list(irreducible_classes(length))
+        assert [core for core, _size in classes] == sorted(core for core, _size in classes)
+        folded = Counter(dihedral_representative(p) for p in singleton_free_paths(length, run_free=True))
+        assert dict(classes) == folded
+        total += len(classes)
+    assert total == 170
