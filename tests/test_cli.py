@@ -112,3 +112,15 @@ def test_main_io_error(tmp_path):
          "--k", "2", "--replicates", "2", "--seed", "1", "--out", str(target)]
     )
     assert code == 3
+
+
+def test_simulate_overflow_exits_2(tmp_path, capsys):
+    # alpha=0.02 Pareto entries reach 1e154 and beyond, so squared row norms overflow
+    code = main(
+        ["simulate", "--dist", "pareto", "--alpha", "0.02", "--p", "50", "--n", "2000",
+         "--k", "3", "--replicates", "2", "--seed", "3", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "alpha=0.02" in err and "row " in err
+    assert not (tmp_path / "moments.csv").exists()

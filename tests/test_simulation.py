@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from heavymp.simulation import (
+    TRACE_K_CUT,
     SimConfig,
+    _pareto,
     correlation_matrix,
     eigenvalues_sym,
     empirical_moments,
@@ -13,6 +15,7 @@ from heavymp.simulation import (
     run_replicate,
     sample_matrix,
     self_normalized_fourth_moment,
+    trace_moments,
 )
 
 
@@ -57,11 +60,89 @@ def test_pareto_symmetry():
     assert abs(frac_positive - 0.5) < 3 * 0.5 / np.sqrt(draws.size)
 
 
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return np.max(np.abs(fa - fb))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+def test_t_sampler_matches_standard_t(alpha):
+    size = 50_000
+    draws = sample_matrix(1, size, "t", seed=21, alpha=alpha)[0]
+    reference = np.random.default_rng(987_654).standard_t(alpha, size)
+    assert np.all(np.isfinite(draws))
+    # two-sample KS critical value at level 0.001 is 1.95 sqrt(2 / size)
+    assert _ks_distance(draws, reference) < 1.95 * np.sqrt(2 / size)
+
+
+def test_pareto_tail_law():
+    alpha = 0.7
+    magnitudes = np.abs(sample_matrix(1, 200_000, "pareto", seed=5, alpha=alpha)[0])
+    assert np.all(np.isfinite(magnitudes))
+    for x in (1.5, 4.0, 30.0, 500.0):
+        expected = x**-alpha  # P(|X| > x)
+        se = np.sqrt(expected * (1 - expected) / magnitudes.size)
+        assert abs(np.mean(magnitudes > x) - expected) < 4 * se
+
+
+class _ZeroUniforms:
+    """A generator whose uniforms all land on 0, the closed end of [0, 1)."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+def test_pareto_zero_uniform_gives_finite_draw():
+    draws = _pareto(_ZeroUniforms(), 0.5, (3, 4))
+    assert np.array_equal(np.abs(draws), np.ones((3, 4)))
+
+
+def test_correlation_matrix_overflow_names_row():
+    with pytest.raises(ArithmeticError, match="row 1"):
+        correlation_matrix(np.array([[1.0, 2.0], [1e200, 1.0]]))
+
+
+@pytest.mark.parametrize("p, n", [(40, 200), (30, 10)])
+def test_trace_moments_match_spectrum(p, n):
+    corr = correlation_matrix(sample_matrix(p, n, "t", seed=8, alpha=1.0))
+    spectrum = np.linalg.eigvalsh(corr)
+    for k_max in range(1, 9):
+        expected = empirical_moments(spectrum, k_max)
+        assert np.allclose(trace_moments(corr, k_max), expected, rtol=1e-12, atol=0)
+
+
+def test_eigenvalues_kept_exactly_when_needed():
+    base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=3)
+    spectrum = eigenvalues_sym(correlation_matrix(sample_matrix(20, 60, "t", seed=3, alpha=1.0)))
+    trace_only = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
+    assert trace_only.eigenvalues is None
+    for extra in (
+        dict(k_max=4, hist=(10, 0.0, 5.0)),
+        dict(k_max=4, save_eigenvalues=True),
+        dict(k_max=TRACE_K_CUT),
+    ):
+        sample = run_replicate(SimConfig(**base, **extra), 0)
+        assert np.array_equal(sample.eigenvalues, spectrum)
+        shared = min(sample.moments.size, trace_only.moments.size)
+        assert np.allclose(sample.moments[:shared], trace_only.moments[:shared], rtol=1e-12, atol=0)
+
+
 def test_correlation_matrix_unit_diagonal():
-    data = sample_matrix(5, 40, "t", seed=3, alpha=1.0)
-    corr = correlation_matrix(data)
-    assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
-    assert np.allclose(corr, corr.T)
+    # exactly symmetric with an exactly unit diagonal, for every sampler
+    for dist, alpha in (("t", 1.0), ("pareto", 0.5), ("gaussian", None)):
+        corr = correlation_matrix(sample_matrix(60, 300, dist, seed=3, alpha=alpha))
+        assert np.array_equal(corr, corr.T)
+        assert np.array_equal(np.diag(corr), np.ones(60))
 
 
 def test_correlation_matrix_orthogonal_rows():
@@ -116,7 +197,9 @@ def test_esd_histogram_normalized():
 
 
 def test_replicate_invariants():
-    config = SimConfig(p=40, n=200, dist="t", alpha=1.0, k_max=4, replicates=1, seed=5)
+    config = SimConfig(
+        p=40, n=200, dist="t", alpha=1.0, k_max=4, replicates=1, seed=5, save_eigenvalues=True
+    )
     sample = run_replicate(config, 0)
     assert abs(sample.eigenvalues.sum() - config.p) <= 1e-6 * config.p
     assert sample.moments[0] == pytest.approx(1.0, abs=1e-8)
@@ -125,7 +208,10 @@ def test_replicate_invariants():
 
 def test_p_larger_than_n_gives_zero_mass():
     # rank of R is at most n, so at least p - n eigenvalues vanish
-    config = SimConfig(p=30, n=10, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=9)
+    config = SimConfig(
+        p=30, n=10, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=9,
+        save_eigenvalues=True,
+    )
     sample = run_replicate(config, 0)
     assert np.sum(np.abs(sample.eigenvalues) < 1e-10) >= config.p - config.n
 
