@@ -44,7 +44,7 @@ def counts(kmax: int) -> None:
                 f"{combinatorics.stirling2_assoc(k, r)},"
                 f"{combinatorics.count_norun_paths(k, r)},"
                 f"{combinatorics.count_c0(k, r)},"
-                f"{paths.count_irreducible(k, r)}"
+                f"{combinatorics.count_irreducible(k, r)}"
             )
 
 

@@ -129,6 +129,45 @@ def count_c0(k: int, r: int) -> int:
     return q
 
 
+def count_irreducible(k: int, r: int) -> int:
+    """Number of irreducible canonical r-paths of length k, M(k, r).
+
+    A path is irreducible when shortening removes nothing: every label occurs
+    at least twice and no two cyclically consecutive entries are equal.  The
+    S(k, r) - C0(k, r) paths that are not completely reducible each shorten
+    to a core of some length l.  A path with j singletons and s further
+    simple removals has the core's labels and s + j more, so grading the
+    multiplicity in ``moments.heavy_tail_gap`` by labels (with P_I = 1) gives
+
+        sum_r [S(k, r) - C0(k, r)] g^(r-1)
+            = sum_l sum_s C(k, l + 2s) C(l + 2s, s) g^s (1 + g)^(k-l-2s) M_l(g),
+
+    where M_l(g) = sum_r M(l, r) g^(r-1).  The l = k term is M_k(g) itself,
+    so M(k, r) follows from the shorter lengths, without walking any path.
+    """
+    _check_range(k, r)
+    return _irreducible_row(k)[r - 1]
+
+
+@lru_cache(maxsize=None)
+def _irreducible_row(k: int) -> tuple[int, ...]:
+    """M(k, 1..k), indexed by r - 1."""
+    row = [_stirling2(k, r) - count_c0(k, r) for r in range(1, k + 1)]
+    for l in range(1, k):
+        # sum_s C(k, l + 2s) C(l + 2s, s) g^s (1 + g)^(k-l-2s), ascending in g
+        weight = [0] * (k - l + 1)
+        for s in range((k - l) // 2 + 1):
+            n = k - l - 2 * s
+            c = comb(k, l + 2 * s) * comb(l + 2 * s, s)
+            for j in range(n + 1):
+                weight[s + j] += c * comb(n, j)
+        for i, m in enumerate(_irreducible_row(l)):
+            if m:
+                for j, c in enumerate(weight):
+                    row[i + j] -= c * m
+    return tuple(row)
+
+
 def restricted_growth_strings(k: int, r: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield restricted growth strings of length k in lexicographic order.
 

@@ -23,11 +23,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
-from heavymp.combinatorics import K_MAX, bell, stirling2
+from heavymp.combinatorics import K_MAX, count_irreducible, stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.paths import (  # noqa: F401  (perfbench's tracer wraps enumerate_canonical_paths here)
     Path,
@@ -95,7 +95,6 @@ def self_normalized_moment_limit(k_parts: Sequence[int], alpha: float) -> float:
     return float(sum(c * a**i for i, c in enumerate(poly)) / (r * factorial(sum(k_parts) - 1)))
 
 
-@lru_cache(maxsize=None)
 def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
     """P_I, ascending in a = alpha/2, with limit_pF(I) = gamma^(r-1) P_I(a).
 
@@ -176,7 +175,9 @@ def _checked_gap(alpha: float, gamma: float, k: int, k_max: int) -> Fraction:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > k_max:
-        walked = sum(_irreducible_counts(k))
+        walked = sum(
+            count_irreducible(length, r) for length in range(4, k + 1) for r in range(1, length + 1)
+        )
         raise RuntimeError(
             f"moment order k={k} exceeds k_max={k_max}: the exact engine walks the "
             f"{walked} irreducible paths of lengths 4..{k}, a count bounded by the Bell "
@@ -211,43 +212,17 @@ def _irreducible_polynomial(length: int) -> tuple[tuple[tuple[int, int], Fractio
     return tuple(poly.items())
 
 
-def _irreducible_counts(k_max: int) -> list[int]:
-    """M_0..M_k_max, the numbers of irreducible canonical paths of each
-    length, without enumerating them.
-
-    The length-k paths with a non-empty core are the Bell(k) - Catalan(k)
-    paths that are not completely reducible, and by the multiplicity in
-    ``heavy_tail_gap`` at gamma = 1 they number sum_l M_l sum_s
-    C(k, l + 2s) C(l + 2s, s) 2^(k-l-2s); the l = k term is M_k itself.
-    """
-    counts = [0] * (k_max + 1)
-    for k in range(4, k_max + 1):
-        counts[k] = bell(k) - comb(2 * k, k) // (k + 1) - sum(
-            counts[l] * comb(k, l + 2 * s) * comb(l + 2 * s, s) * 2 ** (k - l - 2 * s)
-            for l in range(4, k)
-            for s in range((k - l) // 2 + 1)
-        )
-    return counts
-
-
 @dataclass(frozen=True)
 class MomentTable:
-    """Exact moments mu_k = beta_k + d_k for k = 1..k_max."""
+    """Moments mu_k = beta_k + d_k for k = 1..k_max, each of beta_k, d_k and
+    mu_k computed exactly and rounded once."""
 
     alpha: float
     gamma: float
     k_max: int
     beta: tuple[float, ...]
     d: tuple[float, ...]
-
-    @cached_property
-    def mu(self) -> tuple[float, ...]:
-        """beta_k + d_k, summed exactly and rounded once."""
-        alpha, gamma = Fraction(self.alpha), Fraction(self.gamma)
-        return tuple(
-            float(mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k))
-            for k in range(1, self.k_max + 1)
-        )
+    mu: tuple[float, ...]
 
 
 def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
@@ -255,9 +230,12 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     _check_gamma(gamma)
     if not 1 <= k_max <= K_MAX:
         raise ValueError(f"k_max must lie in [1, {K_MAX}], got {k_max}")
-    beta = tuple(mp_moment(gamma, k) for k in range(1, k_max + 1))
-    d = tuple(heavy_tail_gap(alpha, gamma, k) for k in range(1, k_max + 1))
-    return MomentTable(alpha, gamma, k_max, beta, d)
+    a, g = Fraction(alpha), Fraction(gamma)
+    beta = [mp_moment_exact(g, k) for k in range(1, k_max + 1)]
+    d = [_heavy_tail_gap_exact(a, g, k) for k in range(1, k_max + 1)]
+    mu = [b + x for b, x in zip(beta, d)]
+    beta, d, mu = (tuple(map(float, exact)) for exact in (beta, d, mu))
+    return MomentTable(alpha, gamma, k_max, beta, d, mu)
 
 
 @dataclass(frozen=True)

@@ -162,18 +162,16 @@ def enumerate_simples(k: int, r: int, q: int, k_max: int = K_MAX) -> Iterator[Pa
             yield path
 
 
-def singleton_free_paths(k: int, r: int | None = None, run_free: bool = False) -> Iterator[Path]:
+def singleton_free_paths(k: int, run_free: bool = False) -> Iterator[Path]:
     """Yield each canonical path of length k in which every label occurs at
-    least twice, in lexicographic order; with ``r``, only those with r labels.
-    With ``run_free``, only the irreducible ones: no entry repeats the one
-    before it, and the last is not 1, which would repeat the first.
+    least twice, in lexicographic order.  With ``run_free``, only the
+    irreducible ones: no entry repeats the one before it, and the last is not
+    1, which would repeat the first.
 
     A prefix is extended only while it can still be completed: each label seen
-    once needs one more position, and each of the r labels not yet seen needs
-    two.
+    once needs one more position.
     """
-    top = k // 2 if r is None else r  # largest label allowed
-    need = 0 if r is None else r  # every label up to this one must appear
+    top = k // 2  # largest label allowed
     count = [0] * (top + 1)
     path: list[int] = []
 
@@ -186,7 +184,7 @@ def singleton_free_paths(k: int, r: int | None = None, run_free: bool = False) -
                 continue
             c = count[v]
             s = singles + 1 if c == 0 else singles - 1 if c == 1 else singles
-            if s + 2 * max(need - max(seen, v), 0) <= left:
+            if s <= left:
                 path.append(v)
                 if left:
                     count[v] = c + 1
@@ -197,16 +195,6 @@ def singleton_free_paths(k: int, r: int | None = None, run_free: bool = False) -
                 path.pop()
 
     yield from extend(0, 0)
-
-
-def count_irreducible(k: int, r: int) -> int:
-    """Number of irreducible canonical r-paths of length k, M(k, r).
-
-    A path is irreducible when shortening removes nothing: every label occurs
-    at least twice and no two cyclically consecutive entries are equal.
-    """
-    _check_range(k, r)
-    return sum(1 for _ in singleton_free_paths(k, r, run_free=True))
 
 
 def irreducible_classes(k: int) -> Iterator[tuple[Path, int]]:

@@ -25,6 +25,10 @@ DISTRIBUTIONS = ("t", "pareto", "gaussian")
 # plus moments.  Both costs grow as p^3, so the cut does not depend on p.
 TRACE_K_CUT = 9
 
+# Rows drawn at once by ``self_normalized_fourth_moment``: 500 rows of 10^4
+# draws hold 40 MB.
+FOURTH_MOMENT_CHUNK_ROWS = 500
+
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
@@ -165,11 +169,6 @@ class SpectralSample:
     the moments come from ``trace_moments`` and ``eigenvalues`` is None.
     """
 
-    p: int
-    n: int
-    dist: str
-    alpha: float | None
-    seed: int
     replicate: int
     eigenvalues: np.ndarray | None
     moments: np.ndarray
@@ -235,16 +234,7 @@ def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
         moments = empirical_moments(eigenvalues, config.k_max)
     else:
         moments = trace_moments(corr, config.k_max)
-    return SpectralSample(
-        p=config.p,
-        n=config.n,
-        dist=config.dist,
-        alpha=config.alpha,
-        seed=config.seed,
-        replicate=replicate,
-        eigenvalues=eigenvalues,
-        moments=moments,
-    )
+    return SpectralSample(replicate=replicate, eigenvalues=eigenvalues, moments=moments)
 
 
 def run_experiment(config: SimConfig) -> ExperimentReport:
@@ -330,10 +320,8 @@ def _write_report(report: ExperimentReport) -> ExperimentReport:
     return replace(report, written=tuple(written))
 
 
-def self_normalized_fourth_moment(
-    alpha: float, n: int, rows: int, seed: int, dist: str = "pareto", chunk_rows: int = 500
-) -> float:
-    """Monte Carlo estimate of n * E[Y^4] for row-self-normalized entries.
+def self_normalized_fourth_moment(alpha: float, n: int, rows: int, seed: int) -> float:
+    """Monte Carlo estimate of n * E[Y^4] for row-self-normalized Pareto entries.
 
     Averages Y^4 over all entries of ``rows`` independent rows of length n
     (per-row averages are far less noisy than the first entry alone, and the
@@ -343,14 +331,12 @@ def self_normalized_fourth_moment(
     total = 0.0
     done = 0
     while done < rows:
-        m = min(chunk_rows, rows - done)
-        # signs drop out after squaring, so sample X^2 only
-        if dist == "t":
-            x2 = rng.standard_t(alpha, size=(m, n)) ** 2
-        elif dist == "pareto":
-            x2 = rng.random((m, n)) ** (-2.0 / alpha)
-        else:
-            raise ValueError(f"dist must be 't' or 'pareto', got {dist!r}")
+        m = min(FOURTH_MOMENT_CHUNK_ROWS, rows - done)
+        # signs drop out after squaring, so sample X^2 = U^(-2/alpha) only,
+        # with U uniform on (0, 1] as in ``_pareto``
+        x2 = rng.random((m, n))
+        np.subtract(1.0, x2, out=x2)
+        x2 **= -2.0 / alpha
         # per row, sum Y^4 = sum X^4 / (sum X^2)^2
         s = x2.sum(axis=1)
         total += (np.einsum("ij,ij->i", x2, x2) / (s * s)).sum()

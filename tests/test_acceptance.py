@@ -131,7 +131,9 @@ def test_criterion_4_counting_oracle_equivalence():
             ok = ok and classes.count(paths.PathClass.COMPLETELY_REDUCIBLE) == (
                 combinatorics.count_c0(k, r)
             )
-            ok = ok and classes.count(paths.PathClass.IRREDUCIBLE) == paths.count_irreducible(k, r)
+            ok = ok and classes.count(paths.PathClass.IRREDUCIBLE) == (
+                combinatorics.count_irreducible(k, r)
+            )
             no_simple = sum(
                 1
                 for p in stream

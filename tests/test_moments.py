@@ -12,7 +12,6 @@ from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import (
     _core_polynomial,
     _heavy_tail_gap_exact,
-    _irreducible_counts,
     _irreducible_polynomial,
     boundary_modified_poisson,
     boundary_moment_alpha0,
@@ -376,14 +375,30 @@ def test_gap_equals_census_sum():
             assert _heavy_tail_gap_exact(Fraction(alpha), gamma, k) == census_gap
 
 
-def test_irreducible_count_without_enumeration():
-    from heavymp.paths import count_irreducible
+def test_irreducible_count_without_enumeration(monkeypatch):
+    from heavymp import paths
+    from heavymp.combinatorics import count_irreducible
 
-    counts = _irreducible_counts(10)
-    for length in range(1, 11):
-        assert counts[length] == sum(count_irreducible(length, r) for r in range(1, length + 1))
-    # 1,947 of lengths 4..10, then 8,415 + 48,530 + 296,582
-    with pytest.raises(RuntimeError, match="the 355474 irreducible paths of lengths 4..13"):
+    totals = {}
+    for length in range(1, 13):
+        walked = Counter(max(p) for p in paths.singleton_free_paths(length, run_free=True))
+        for r in range(1, length + 1):
+            assert count_irreducible(length, r) == walked[r]
+        totals[length] = sum(walked.values())
+    assert sum(totals[length] for length in range(4, 11)) == 1_947
+    assert sum(totals[length] for length in range(4, 13)) == 58_892
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the closed form walks no path")
+
+    monkeypatch.setattr(paths, "singleton_free_paths", no_walk)
+    # the paths of lengths 4..20 with a non-empty core, counted at gamma = 1
+    # as Bell(k) - Catalan(k) = sum_l M_l sum_s C(k, l + 2s) C(l + 2s, s) 2^(k-l-2s)
+    assert sum(
+        count_irreducible(length, r) for length in range(4, 21) for r in range(1, length + 1)
+    ) == 413_096_308_829
+    # 58,892 of lengths 4..12, then 296,582 of length 13
+    with pytest.raises(RuntimeError, match="the 355474 irreducible paths of lengths 4..13.*Bell"):
         heavy_tail_gap(1.0, 0.2, 13)
 
 

@@ -4,13 +4,12 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from heavymp.combinatorics import bell, count_c0, stirling2, stirling2_assoc
+from heavymp.combinatorics import bell, count_c0, count_irreducible, stirling2, stirling2_assoc
 from heavymp.paths import (
     PathClass,
     canonicalize,
     classify,
     dihedral_representative,
-    count_irreducible,
     enumerate_canonical_paths,
     enumerate_class,
     enumerate_simples,
@@ -193,13 +192,10 @@ def test_enumeration_cap():
 
 def test_singleton_free_counts_match_associated_stirling():
     for m in range(1, 11):
-        total = 0
+        by_r = Counter(max(p) for p in singleton_free_paths(m))
+        assert set(by_r) <= set(range(1, m + 1))
         for r in range(1, m + 1):
-            stream = list(singleton_free_paths(m, r))
-            assert len(stream) == stirling2_assoc(m, r)
-            assert all(max(p) == r for p in stream)
-            total += len(stream)
-        assert sum(1 for _ in singleton_free_paths(m)) == total
+            assert by_r[r] == stirling2_assoc(m, r)
 
 
 def test_singleton_free_stream_is_lexicographic_and_canonical():
@@ -235,10 +231,6 @@ def test_run_free_walk_is_the_irreducible_filter():
         assert list(singleton_free_paths(m, run_free=True)) == [
             p for p in singleton_free_paths(m) if _is_run_free(p)
         ]
-        for r in range(1, m // 2 + 1):
-            assert list(singleton_free_paths(m, r, run_free=True)) == [
-                p for p in singleton_free_paths(m, r) if _is_run_free(p)
-            ]
 
 
 def test_irreducible_classes_fold_by_dihedral_representative():

@@ -280,3 +280,10 @@ def test_self_normalized_fourth_moment_small():
     for alpha in (0.5, 1.5):
         est = self_normalized_fourth_moment(alpha, n=2000, rows=4000, seed=17)
         assert est == pytest.approx(1 - alpha / 2, rel=0.1)
+
+
+def test_self_normalized_fourth_moment_zero_uniform_is_finite(monkeypatch):
+    zeros = _ZeroUniforms()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: zeros)
+    # every X^2 is 1, so each row of n entries has sum Y^4 = n / n^2
+    assert self_normalized_fourth_moment(0.5, n=8, rows=3, seed=0) == pytest.approx(1 / 8)
