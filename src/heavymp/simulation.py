@@ -6,10 +6,18 @@ moments (from the spectrum, or from traces of matrix powers when no spectrum
 is needed), and aggregates replicates reproducibly: replicate j draws from a
 stream spawned from the master seed, so results are independent of how
 replicates are scheduled.
+
+A moments-only run does all its BLAS on one OpenBLAS thread: the replicate
+pool supplies the parallelism, and the Gram product's last bits, which the
+moments show, would otherwise depend on the BLAS thread count.  Runs that
+need a spectrum leave BLAS at its default, where ``eigvalsh`` is faster.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -164,9 +172,9 @@ def esd_histogram(
 class SpectralSample:
     """One simulated replicate: empirical moments and, when computed, the spectrum.
 
-    ``eigenvalues`` is the ascending spectrum when the config asks for one
-    (``hist`` or ``save_eigenvalues``) or when k_max >= TRACE_K_CUT; otherwise
-    the moments come from ``trace_moments`` and ``eigenvalues`` is None.
+    ``eigenvalues`` is the ascending spectrum when ``SimConfig.needs_spectrum``;
+    otherwise the moments come from ``trace_moments`` and ``eigenvalues`` is
+    None.
     """
 
     replicate: int
@@ -202,6 +210,11 @@ class SimConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
+    @property
+    def needs_spectrum(self) -> bool:
+        """A histogram, saved eigenvalues or k_max >= TRACE_K_CUT need eigvalsh."""
+        return self.hist is not None or self.save_eigenvalues or self.k_max >= TRACE_K_CUT
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -229,26 +242,71 @@ def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
         ) from exc
     del data
     eigenvalues = None
-    if config.hist is not None or config.save_eigenvalues or config.k_max >= TRACE_K_CUT:
-        eigenvalues = eigenvalues_sym(corr)
+    if config.needs_spectrum:
+        # R is exactly symmetric by construction, so eigenvalues_sym's check is skipped
+        try:
+            eigenvalues = np.linalg.eigvalsh(corr)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise ArithmeticError(f"eigensolver failed on replicate {replicate}: {exc}") from exc
         moments = empirical_moments(eigenvalues, config.k_max)
     else:
         moments = trace_moments(corr, config.k_max)
     return SpectralSample(replicate=replicate, eigenvalues=eigenvalues, moments=moments)
 
 
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local``, or None when numpy has no such BLAS.
+
+    dlsym on numpy's core extension also searches the libraries it links, so
+    this finds the OpenBLAS that numpy bundles; MKL, Accelerate, numpy 1.x
+    and OpenBLAS < 0.3.27 give None.  The lookup relies on the bundled
+    ``libscipy_openblas64_`` exporting this one function under its plain
+    name (its other thread functions carry the ``scipy_openblas`` prefix and
+    ``64_`` suffix); a build that mangles it too gives None, which the tests
+    report as a failure when numpy names a bundled OpenBLAS.  The setter
+    returns the previous thread count and, despite its name, sets the count
+    for the whole process.
+    """
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the previous count."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
 def run_experiment(config: SimConfig) -> ExperimentReport:
     """Run all replicates and aggregate in replicate-index order.
 
     Replicates are independent streams, so thread count affects runtime only;
-    aggregation order and therefore all floating-point results are fixed.
+    aggregation order and therefore all floating-point results are fixed.  A
+    run that needs no spectrum sets BLAS to one thread for every ``threads``
+    value, since the Gram's last bits depend on the BLAS thread count; the
+    setter acts on the whole process, so it is set once around all replicates.
     """
     indices = range(config.replicates)
-    if config.threads == 1:
-        samples = tuple(run_replicate(config, j) for j in indices)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            samples = tuple(pool.map(lambda j: run_replicate(config, j), indices))
+    with contextlib.nullcontext() if config.needs_spectrum else _one_blas_thread():
+        if config.threads == 1:
+            samples = tuple(run_replicate(config, j) for j in indices)
+        else:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                samples = tuple(pool.map(lambda j: run_replicate(config, j), indices))
     moments = np.vstack([s.moments for s in samples])
     mean = moments.mean(axis=0)
     std = moments.std(axis=0, ddof=1) if len(samples) > 1 else np.zeros_like(mean)

@@ -87,6 +87,19 @@ def test_simulate_byte_identical_across_threads(tmp_path):
         assert (tmp_path / "one" / fname).read_bytes() == (tmp_path / "four" / fname).read_bytes()
 
 
+def test_simulate_byte_identical_across_threads_at_blas_threading_size(tmp_path):
+    # at p=100 OpenBLAS threads the Gram product, whose last bits m_7 shows
+    for threads in (1, 2):
+        result = run(
+            "simulate", "--dist", "t", "--alpha", "1", "--p", "100", "--n", "500",
+            "--k", "8", "--replicates", "3", "--seed", "2",
+            "--out", str(tmp_path / str(threads)), "--threads", str(threads),
+        )
+        assert result.exit_code == 0, result.output
+    for fname in ("moments.csv", "summary.json"):
+        assert (tmp_path / "1" / fname).read_bytes() == (tmp_path / "2" / fname).read_bytes()
+
+
 def test_compare_small_run():
     result = run(
         "compare", "--alpha", "1", "--p", "60", "--n", "300", "--dist", "t",

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from heavymp import simulation
 from heavymp.simulation import (
     TRACE_K_CUT,
     SimConfig,
@@ -227,6 +228,105 @@ def test_run_experiment_deterministic_across_threads(tmp_path):
         tmp_path / "b" / "summary.json"
     ).read_bytes()
     assert np.array_equal(r1.mean_moments, r2.mean_moments)
+
+
+def _blas_threads():
+    """The process's OpenBLAS thread count, read by setting it and setting it back."""
+    setter = simulation._blas_thread_setter()
+    count = setter(1)
+    setter(count)
+    return count
+
+
+def _numpy_bundled_openblas_version():
+    """The version of the OpenBLAS numpy says it bundles, or None for another BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    if blas.get("name") != "scipy-openblas":
+        return None
+    return tuple(int(part) for part in blas["version"].split(".")[:3])
+
+
+def _blas_setter_or_skip():
+    """The BLAS setter; a test skips only when numpy bundles no OpenBLAS >= 0.3.27."""
+    setter = simulation._blas_thread_setter()
+    if setter is None:
+        version = _numpy_bundled_openblas_version()
+        if version is not None and version >= (0, 3, 27):
+            pytest.fail(f"numpy bundles OpenBLAS {version} but no setter was found")
+        pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    return setter
+
+
+@pytest.fixture
+def blas_two_threads():
+    """OpenBLAS set to 2 threads for the test, and back to its count afterwards."""
+    setter = _blas_setter_or_skip()
+    previous = setter(2)
+    yield
+    setter(previous)
+
+
+def _record_blas_threads(monkeypatch):
+    seen = []
+    run_replicate_unpatched = simulation.run_replicate
+
+    def recording(config, replicate):
+        seen.append(_blas_threads())
+        return run_replicate_unpatched(config, replicate)
+
+    monkeypatch.setattr(simulation, "run_replicate", recording)
+    return seen
+
+
+def test_moments_only_run_pins_blas_and_restores_it(blas_two_threads, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    base = dict(p=20, n=60, dist="t", alpha=1.0, k_max=4, replicates=2, seed=6)
+    assert not SimConfig(**base).needs_spectrum
+    run_experiment(SimConfig(**base))
+    assert seen == [1, 1]
+    assert _blas_threads() == 2
+    overflow = SimConfig(p=50, n=2000, dist="pareto", alpha=0.02, k_max=3, replicates=2, seed=3)
+    with pytest.raises(ArithmeticError, match="alpha=0.02"):
+        run_experiment(overflow)
+    assert _blas_threads() == 2
+
+
+def test_spectrum_run_leaves_blas_alone(blas_two_threads, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=6)
+    for extra in (
+        dict(k_max=4, hist=(10, 0.0, 5.0)),
+        dict(k_max=4, save_eigenvalues=True),
+        dict(k_max=TRACE_K_CUT),
+    ):
+        config = SimConfig(**base, **extra)
+        assert config.needs_spectrum
+        run_experiment(config)
+    assert seen == [2, 2, 2]
+    assert _blas_threads() == 2
+
+
+def test_run_without_blas_setter_matches_pinned_run(tmp_path, monkeypatch):
+    # without the setter the run is unpinned, so BLAS is set to 1 thread by
+    # hand, as OPENBLAS_NUM_THREADS=1 would, to compare bytes
+    setter = _blas_setter_or_skip()
+    base = dict(p=100, n=500, dist="t", alpha=1.0, k_max=8, replicates=2, seed=2)
+    run_experiment(SimConfig(**base, out_dir=tmp_path / "pinned"))
+    monkeypatch.setattr(simulation, "_blas_thread_setter", lambda: None)
+    previous = setter(1)
+    try:
+        run_experiment(SimConfig(**base, out_dir=tmp_path / "unpinned", threads=2))
+    finally:
+        setter(previous)
+    for name in ("moments.csv", "summary.json"):
+        assert (tmp_path / "unpinned" / name).read_bytes() == (
+            tmp_path / "pinned" / name
+        ).read_bytes()
+    spectrum = run_experiment(SimConfig(**{**base, "k_max": TRACE_K_CUT, "replicates": 1}))
+    assert spectrum.samples[0].eigenvalues.size == base["p"]
 
 
 def test_run_experiment_outputs(tmp_path):
