@@ -137,3 +137,18 @@ def test_simulate_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "alpha=0.02" in err and "row " in err
     assert not (tmp_path / "moments.csv").exists()
+
+
+def test_simulate_t_overflow_exits_2(tmp_path, capsys):
+    # at alpha=0.02 a t draw is about 0.14 W^(-50) sin 2phi, so a W below
+    # about 1e-3 overflows the draw or its square; inf, or NaN where
+    # sin 2phi is 0, makes a squared row norm non-finite
+    out = tmp_path / "out"
+    code = main(
+        ["simulate", "--dist", "t", "--alpha", "0.02", "--p", "50", "--n", "2000",
+         "--k", "3", "--replicates", "2", "--seed", "3", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "t draws with alpha=0.02" in err and "row " in err
+    assert not out.exists()

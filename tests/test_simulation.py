@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from heavymp.simulation import (
     TRACE_K_CUT,
     SimConfig,
     _pareto,
+    _student_t,
     correlation_matrix,
     eigenvalues_sym,
     empirical_moments,
@@ -61,23 +64,76 @@ def test_pareto_symmetry():
     assert abs(frac_positive - 0.5) < 3 * 0.5 / np.sqrt(draws.size)
 
 
-def _ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a, b = np.sort(a), np.sort(b)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return np.max(np.abs(fa - fb))
+def _ks_distance(a, b, chunk=10**6):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+
+    The supremum is attained at a sample point, so both empirical CDFs are
+    compared at the points of a, then of b, ``chunk`` points at a time.
+    """
+    a, b = np.sort(a, axis=None), np.sort(b, axis=None)
+    distance = 0.0
+    for points in (a, b):
+        for start in range(0, points.size, chunk):
+            grid = points[start : start + chunk]
+            fa = np.searchsorted(a, grid, side="right") / a.size
+            fb = np.searchsorted(b, grid, side="right") / b.size
+            distance = max(distance, np.max(np.abs(fa - fb)))
+    return distance
 
 
-@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
-def test_t_sampler_matches_standard_t(alpha):
-    size = 50_000
-    draws = sample_matrix(1, size, "t", seed=21, alpha=alpha)[0]
-    reference = np.random.default_rng(987_654).standard_t(alpha, size)
+def _assert_matches_standard_t(draws, alpha):
+    reference = np.random.default_rng(987_654).standard_t(alpha, draws.size)
     assert np.all(np.isfinite(draws))
     # two-sample KS critical value at level 0.001 is 1.95 sqrt(2 / size)
-    assert _ks_distance(draws, reference) < 1.95 * np.sqrt(2 / size)
+    assert _ks_distance(draws, reference) < 1.95 * np.sqrt(2 / draws.size)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.7, 1.99])
+def test_t_sampler_matches_standard_t(alpha):
+    _assert_matches_standard_t(sample_matrix(1, 50_000, "t", seed=21, alpha=alpha), alpha)
+
+
+def test_t_sampler_ragged_last_block():
+    # the last row block holds one row, so a row the block loop skipped or
+    # filled twice would show as a step in the pooled CDF
+    p = simulation._T_BLOCK_ROWS + 1
+    _assert_matches_standard_t(sample_matrix(p, 1500, "t", seed=22, alpha=0.8), 0.8)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("HEAVYMP_FULL_SCALE"),
+    reason="10^7 draws per alpha and their KS test take about 11 s; set HEAVYMP_FULL_SCALE=1",
+)
+def test_t_sampler_large_sample_oracle():
+    shape = (1000, 10**4)
+    for alpha in (0.3, 1.0, 1.7):
+        draws = sample_matrix(*shape, "t", seed=31, alpha=alpha)
+        _assert_matches_standard_t(draws, alpha)
+        if alpha == 1.0:
+            # t(1) is Cauchy: P(|X| > c) = 2 arctan(1/c) / pi
+            magnitudes = np.abs(draws)
+            for c in (10.0, 100.0, 1000.0):
+                expected = 2 / np.pi * np.arctan(1 / c)
+                se = np.sqrt(expected * (1 - expected) / magnitudes.size)
+                assert abs(np.mean(magnitudes > c) - expected) < 4 * se
+        del draws
+
+
+def test_t_sampler_peak_memory():
+    # one p x n output plus one scratch row block, where the gamma-normal
+    # sampler held two p x n arrays
+    p, n = 4 * simulation._T_BLOCK_ROWS + 3, 2000
+    output_bytes = p * n * 8
+    block_bytes = simulation._T_BLOCK_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        draws = sample_matrix(p, n, "t", seed=9, alpha=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (p, n)
+    assert peak < output_bytes + 2 * block_bytes
 
 
 def test_pareto_tail_law():
@@ -90,22 +146,52 @@ def test_pareto_tail_law():
         assert abs(np.mean(magnitudes > x) - expected) < 4 * se
 
 
-class _ZeroUniforms:
-    """A generator whose uniforms all land on 0, the closed end of [0, 1)."""
+class _FixedUniforms:
+    """A generator whose calls to ``random`` return the given values in turn, cyclically."""
 
-    def __init__(self):
+    def __init__(self, *values):
+        self._values = values
+        self._calls = 0
         self._rng = np.random.default_rng(0)
 
-    def random(self, shape):
-        return np.zeros(shape)
+    def random(self, shape=None, out=None):
+        value = self._values[self._calls % len(self._values)]
+        self._calls += 1
+        if out is None:
+            return np.full(shape, value)
+        out[...] = value
+        return out
 
     def integers(self, *args, **kwargs):
         return self._rng.integers(*args, **kwargs)
 
 
+class _ZeroUniforms(_FixedUniforms):
+    """A generator whose uniforms all land on 0, the closed end of [0, 1)."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+
 def test_pareto_zero_uniform_gives_finite_draw():
     draws = _pareto(_ZeroUniforms(), 0.5, (3, 4))
     assert np.array_equal(np.abs(draws), np.ones((3, 4)))
+
+
+def test_t_zero_uniform_gives_finite_draw():
+    # W = 1 - 0 = 1 gives W^(-2/alpha) - 1 = 0, so the draw is 0 whatever the angle
+    draws = _student_t(_ZeroUniforms(), 0.5, (simulation._T_BLOCK_ROWS + 2, 4))
+    assert np.array_equal(draws, np.zeros_like(draws))
+
+
+def test_t_overflow_at_zero_angle_is_nan_and_caught():
+    # W = 2^-53 overflows W^(-100) at alpha=0.02, and a uniform of 1/2 is the
+    # angle phi = 0: inf * tan(0) is NaN, which the row-norm check rejects
+    tiny_w = _FixedUniforms(1.0 - 2.0**-53, 0.5)
+    draws = _student_t(tiny_w, 0.02, (2, 3))
+    assert np.all(np.isnan(draws))
+    with pytest.raises(ArithmeticError, match="row 0 has squared norm nan"):
+        correlation_matrix(draws)
 
 
 def test_correlation_matrix_overflow_names_row():
