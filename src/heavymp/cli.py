@@ -8,7 +8,9 @@ All commands are deterministic given their flags (and seed).
 from __future__ import annotations
 
 import json
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path as FilePath
 
 import click
@@ -25,6 +27,30 @@ def _parse_path(text: str, flag: str) -> paths.Path:
     if not values or any(v < 1 for v in values):
         raise click.UsageError(f"{flag} must be positive integers, got {text!r}")
     return values
+
+
+def _sim_config(threads: int | None, **fields) -> simulation.SimConfig:
+    """The run's SimConfig, with a UsageError for a bad field.
+
+    Without --threads a run that needs no spectrum takes one replicate thread
+    per CPU the process may run on (a CPU quota is not seen), at most one per
+    replicate, and a spectrum run takes one: its eigvalsh keeps OpenBLAS's
+    own threads, and replicate threads beside them ran slower.
+    """
+    try:
+        config = simulation.SimConfig(threads=1 if threads is None else threads, **fields)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    if threads is None and not config.needs_spectrum:
+        # no affinity mask on macOS or Windows
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        config = replace(config, threads=min(cores, config.replicates))
+    return config
+
+
+_threads_option = click.option(
+    "--threads", type=int, default=None, show_default="usable cores up to --replicates; 1 for a spectrum run"
+)
 
 
 @click.group()
@@ -101,7 +127,7 @@ def contributing(i_text: str, mode: str) -> None:
 @cli.command(name="moments")
 @click.option("--alpha", type=float, required=True)
 @click.option("--gamma", type=float, required=True)
-@click.option("--kmax", type=click.IntRange(1, combinatorics.K_MAX), default=6, show_default=True)
+@click.option("--kmax", type=click.IntRange(1, moments.MOMENT_K_MAX), default=6, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
     """Exact limiting moments: k, beta_k, d_k, mu_k."""
@@ -166,7 +192,7 @@ def _parse_hist(text: str) -> tuple[int, float, float]:
 @click.option("--replicates", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(path_type=FilePath), required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 @click.option("--hist", "hist_text", default=None, help="BINS:LO:HI pooled ESD histogram")
 @click.option("--save-eigenvalues", is_flag=True, default=False)
 def simulate(
@@ -178,28 +204,16 @@ def simulate(
     replicates: int,
     seed: int,
     out: FilePath,
-    threads: int,
+    threads: int | None,
     hist_text: str | None,
     save_eigenvalues: bool,
 ) -> None:
     """Simulate replicates and write moments.csv / summary.json to --out."""
     hist = _parse_hist(hist_text) if hist_text else None
-    try:
-        config = simulation.SimConfig(
-            p=p,
-            n=n,
-            dist=dist,
-            alpha=alpha,
-            k_max=k_max,
-            replicates=replicates,
-            seed=seed,
-            out_dir=out,
-            threads=threads,
-            hist=hist,
-            save_eigenvalues=save_eigenvalues,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    config = _sim_config(
+        threads, p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
+        out_dir=out, hist=hist, save_eigenvalues=save_eigenvalues,
+    )
     report = simulation.run_experiment(config)
     for path in report.written:
         click.echo(f"wrote {path}")
@@ -208,13 +222,13 @@ def simulate(
 @cli.command()
 @click.option("--alpha", type=float, required=True, help="Tail index of the exact target")
 @click.option("--gamma", type=float, default=None, help="Defaults to p/n")
-@click.option("--kmax", type=click.IntRange(1, combinatorics.K_MAX), default=5, show_default=True)
+@click.option("--kmax", type=click.IntRange(1, moments.MOMENT_K_MAX), default=5, show_default=True)
 @click.option("--p", type=int, default=500, show_default=True)
 @click.option("--n", type=int, default=2500, show_default=True)
 @click.option("--dist", type=click.Choice(list(simulation.DISTRIBUTIONS)), default="t", show_default=True)
 @click.option("--replicates", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 @click.option("--z-threshold", type=float, default=4.0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.pass_context
@@ -228,7 +242,7 @@ def compare(
     dist: str,
     replicates: int,
     seed: int,
-    threads: int,
+    threads: int | None,
     z_threshold: float,
     fmt: str,
 ) -> None:
@@ -243,13 +257,9 @@ def compare(
     if g <= 0:
         raise click.UsageError(f"--gamma must be positive, got {g}")
     sim_alpha = None if dist == "gaussian" else alpha
-    try:
-        config = simulation.SimConfig(
-            p=p, n=n, dist=dist, alpha=sim_alpha, k_max=kmax,
-            replicates=replicates, seed=seed, threads=threads,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    config = _sim_config(
+        threads, p=p, n=n, dist=dist, alpha=sim_alpha, k_max=kmax, replicates=replicates, seed=seed
+    )
     report = simulation.run_experiment(config)
     if dist == "gaussian":
         exact = [moments.mp_moment(g, k) for k in range(1, kmax + 1)]

@@ -13,11 +13,11 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-#: Default cap on the ground-set size for full enumerations.  A cold
-#: ``heavy_mp_moment`` call, which walks the irreducible paths of every length
-#: up to k, takes about 0.06 s at k = 10, 0.27 s at k = 11 and 1.4 s at
-#: k = 12 on a 2-core Xeon VM; k = 13 would take about 8.5 s, half of it
-#: folding the 296,582 irreducible paths of length 13 into classes.
+#: Default cap on the ground-set size for full enumerations (``heavymp paths
+#: --k``, brute-force contributing sets), which list up to Bell(k) paths, and
+#: for ``heavymp counts``.  Moments do not enumerate: they read Q_4..Q_14 from a committed
+#: table (``moments.MOMENT_K_MAX``), whose rebuild walks the 2,269,035
+#: irreducible paths of lengths 4..14 in about 20 s on a 2-core Xeon VM.
 K_MAX = 12
 
 

@@ -170,13 +170,14 @@ def contributing_sets(
     the closed walks of ``_tree_walks``, and groups them by label count;
     ``mode="brute"`` filters all canonical s-paths of length k for even edge
     degrees and a tree skeleton, level by level up to the first empty one,
-    and serves as the oracle.
+    and serves as the oracle.  ``k_max`` caps |I| in brute mode only, since
+    it lists up to Bell(|I|) paths; refine mode walks trees and needs no cap.
     """
     if not is_canonical(i_path):
         raise ValueError(f"path {i_path} is not canonical")
     if not i_path:
         raise ValueError("empty path")
-    if len(i_path) > k_max:
+    if mode == "brute" and len(i_path) > k_max:
         raise ValueError(f"|I|={len(i_path)} exceeds k_max={k_max}")
     ps = shorten(i_path)
     if ps.shortened != i_path:

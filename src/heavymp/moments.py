@@ -10,34 +10,36 @@ polynomial in alpha and gamma, evaluated exactly and rounded once.
 
 No path is shortened: the number of paths of each length with a given core
 and number of simple removals is a product of two binomials (see
-``heavy_tail_gap``), so d_k needs only the irreducible paths, walked once
-per length and folded into dihedral classes (``_irreducible_polynomial``).
-A cold k = 12 moment takes about 1.4 s on a 2-core Xeon VM: about 0.7 s to
-walk and fold the irreducible paths of lengths 4..12, and 0.45 s for the
-contributing sets and polynomials of their 2,920 classes.
+``heavy_tail_gap``), so d_k needs only the polynomials Q_4..Q_k of the
+irreducible paths.  scripts/build_qtable.py builds them once, walking the
+irreducible paths of lengths 4..14 folded into dihedral classes, and writes
+their exact coefficients to ``heavymp._qtable``, which moments read: no
+moment walks a path, and a cold k = 14 moment takes a few milliseconds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
-from heavymp.combinatorics import K_MAX, count_irreducible, stirling2
+from heavymp import _qtable
+from heavymp.combinatorics import count_irreducible, stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.paths import (  # noqa: F401  (perfbench's tracer wraps enumerate_canonical_paths here)
     Path,
     enumerate_canonical_paths,
-    irreducible_classes,
 )
 
 # int, Fraction or str; a float is taken at its exact binary value, so pass a
 # str or Fraction for decimal-exact gammas
 RationalLike = int | Fraction | str
+
+#: Largest moment order: the top length of the committed Q_l table.
+MOMENT_K_MAX = max(_qtable.Q)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -129,14 +131,14 @@ def limit_pF(i_path: Path, alpha: float, gamma: float) -> float:
     return float(Fraction(gamma) ** (max(i_path) - 1) * value)
 
 
-def heavy_mp_moment(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
+def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:
     """k-th moment of the heavy-tailed limiting spectral law, beta_k + d_k,
     summed exactly and rounded once."""
-    gap = _checked_gap(alpha, gamma, k, k_max)
+    gap = _checked_gap(alpha, gamma, k)
     return float(mp_moment_exact(gamma, k) + gap)
 
 
-def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> float:
+def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
     """d_k = mu_k - beta_k, the excess over the classical moment.
 
     Path-wise, d_k sums gamma^simples * limit_pF(core) over the canonical
@@ -161,27 +163,27 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int, k_max: int = K_MAX) -> fl
         d_k = sum_l sum_s C(k, l + 2s) C(l + 2s, s) gamma^s (1 + gamma)^(k-l-2s) Q_l,
 
     where Q_l sums gamma^(r-1) P_I (``_core_polynomial``) over the
-    irreducible canonical paths I of length l, compiled once per l into a
-    polynomial in alpha/2 and gamma (``_irreducible_polynomial``).  So d_k
-    depends only on Q_4..Q_k.  It is evaluated exactly at the binary values
+    irreducible canonical paths I of length l, a polynomial in alpha/2 and
+    gamma read from the committed table (``_irreducible_polynomial``).  So
+    d_k depends only on Q_4..Q_k.  It is evaluated exactly at the binary values
     of alpha and gamma and rounded once.
     """
-    return float(_checked_gap(alpha, gamma, k, k_max))
+    return float(_checked_gap(alpha, gamma, k))
 
 
-def _checked_gap(alpha: float, gamma: float, k: int, k_max: int) -> Fraction:
+def _checked_gap(alpha: float, gamma: float, k: int) -> Fraction:
     _check_alpha(alpha)
     _check_gamma(gamma)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > k_max:
+    if k > MOMENT_K_MAX:
         walked = sum(
             count_irreducible(length, r) for length in range(4, k + 1) for r in range(1, length + 1)
         )
         raise RuntimeError(
-            f"moment order k={k} exceeds k_max={k_max}: the exact engine walks the "
-            f"{walked} irreducible paths of lengths 4..{k}, a count bounded by the Bell "
-            f"numbers and growing nearly as fast"
+            f"moment order k={k} exceeds {MOMENT_K_MAX}: the table holds Q_4..Q_{MOMENT_K_MAX}, "
+            f"and building Q_4..Q_{k} walks the {walked} irreducible paths of lengths 4..{k}, "
+            f"a count bounded by the Bell numbers and growing nearly as fast"
         )
     return _heavy_tail_gap_exact(Fraction(alpha), Fraction(gamma), k)
 
@@ -200,16 +202,10 @@ def _heavy_tail_gap_exact(alpha: Fraction, gamma: Fraction, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _irreducible_polynomial(length: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    """Q_length as ((i, j), coefficient of (alpha/2)^i gamma^j) items, adding
-    gamma^(r - 1) P_I once per dihedral class of irreducible paths, weighted
-    by the class size, since rotating or reversing a core leaves its limit
-    unchanged."""
-    poly: Counter[tuple[int, int]] = Counter()
-    for core, size in irreducible_classes(length):
-        for i, c in enumerate(_core_polynomial(core)):
-            if c:
-                poly[i, max(core) - 1] += size * c
-    return tuple(poly.items())
+    """Q_length as ((i, j), coefficient of (alpha/2)^i gamma^j) items, parsed
+    from the committed table on first use."""
+    rows = (line.split() for line in _qtable.Q[length].splitlines())
+    return tuple(((int(i), int(j)), Fraction(c)) for i, j, c in rows)
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,8 @@ class MomentTable:
 def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     _check_alpha(alpha)
     _check_gamma(gamma)
-    if not 1 <= k_max <= K_MAX:
-        raise ValueError(f"k_max must lie in [1, {K_MAX}], got {k_max}")
+    if not 1 <= k_max <= MOMENT_K_MAX:
+        raise ValueError(f"k_max must lie in [1, {MOMENT_K_MAX}], got {k_max}")
     a, g = Fraction(alpha), Fraction(gamma)
     beta = [mp_moment_exact(g, k) for k in range(1, k_max + 1)]
     d = [_heavy_tail_gap_exact(a, g, k) for k in range(1, k_max + 1)]

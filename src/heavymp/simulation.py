@@ -160,19 +160,23 @@ def eigenvalues_sym(matrix: np.ndarray) -> np.ndarray:
 def trace_moments(corr: np.ndarray, k_max: int) -> np.ndarray:
     """m_k = tr(R^k) / p for k = 1..k_max, without the spectrum.
 
-    m_k = <R^floor(k/2), R^ceil(k/2)> / p in the Frobenius inner product,
-    from ceil(k_max/2) - 1 matrix products; an even power is formed as P P'
-    of its half power, which BLAS computes as a symmetric rank-k update.
+    m_k = <R^(k-b), R^b> / p in the Frobenius inner product, with b the
+    largest formed power below k.  Below k_max = 7 the formed powers are
+    R^2 and R^4 = R^2 (R^2)', as far as needed, each a P P' that BLAS
+    computes as a symmetric rank-k update at half the cost of a general
+    product, so m_5 = <R, R^4> and m_6 = <R^2, R^4>; from k_max = 7 on they
+    are R^2..R^ceil(k_max/2).
     """
     p = corr.shape[0]
-    powers = [None, corr]
-    for j in range(2, (k_max + 1) // 2 + 1):
+    powers = {1: corr}
+    for j in (2, 4)[: (k_max - 1) // 2] if k_max < 7 else range(2, (k_max + 1) // 2 + 1):
         half = powers[j // 2]
-        powers.append(half @ half.T if j % 2 == 0 else powers[j - 1] @ corr)
+        powers[j] = half @ half.T if j % 2 == 0 else powers[j - 1] @ corr
     moments = np.empty(k_max)
     moments[0] = np.trace(corr) / p
     for k in range(2, k_max + 1):
-        moments[k - 1] = np.einsum("ij,ij->", powers[k // 2], powers[(k + 1) // 2]) / p
+        b = max(j for j in powers if j < k)
+        moments[k - 1] = np.einsum("ij,ij->", powers[k - b], powers[b]) / p
     return moments
 
 

@@ -1,7 +1,10 @@
 import json
+import os
 
+import pytest
 from click.testing import CliRunner
 
+from heavymp import simulation
 from heavymp.cli import cli, main
 
 
@@ -56,6 +59,15 @@ def test_moments_csv_and_json_agree():
     assert abs(payload["mu"][3] - 2.498) < 5e-4
 
 
+def test_moment_cap_is_the_table_top_and_enumerators_stay_capped():
+    payload = json.loads(run("moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14",
+                             "--format", "json").output)
+    assert payload["mu"][13] == 12138.448302765602
+    assert main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "15"]) == 1
+    assert main(["paths", "--k", "13", "--r", "2"]) == 1
+    assert main(["counts", "--kmax", "13"]) == 1
+
+
 def test_boundary_output():
     result = run("boundary", "--gamma", "1", "--kmax", "3")
     assert result.exit_code == 0
@@ -98,6 +110,60 @@ def test_simulate_byte_identical_across_threads_at_blas_threading_size(tmp_path)
         assert result.exit_code == 0, result.output
     for fname in ("moments.csv", "summary.json"):
         assert (tmp_path / "1" / fname).read_bytes() == (tmp_path / "2" / fname).read_bytes()
+
+
+def _three_usable_cores(monkeypatch):
+    """Report three usable cores and record the thread count of every run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    run_experiment, threads = simulation.run_experiment, []
+
+    def recording_run(config):
+        threads.append(config.threads)
+        return run_experiment(config)
+
+    monkeypatch.setattr(simulation, "run_experiment", recording_run)
+    return threads
+
+
+def test_simulate_default_threads_are_the_usable_cores(tmp_path, monkeypatch):
+    threads = _three_usable_cores(monkeypatch)
+    for name, extra in (("default", ()), ("one", ("--threads", "1"))):
+        result = run(
+            "simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60",
+            "--k", "6", "--replicates", "5", "--seed", "8", "--out", str(tmp_path / name), *extra,
+        )
+        assert result.exit_code == 0, result.output
+    assert threads == [3, 1]
+    for fname in ("moments.csv", "summary.json"):
+        assert (tmp_path / "default" / fname).read_bytes() == (tmp_path / "one" / fname).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        (("--replicates", "2"), 2),  # no more threads than replicates
+        (("--hist", "10:0:5"), 1),  # spectrum runs leave the cores to BLAS
+        (("--k", "9"), 1),
+    ],
+)
+def test_simulate_default_threads_cap(tmp_path, monkeypatch, extra, expected):
+    threads = _three_usable_cores(monkeypatch)
+    result = run(
+        "simulate", "--dist", "gaussian", "--p", "8", "--n", "24", "--k", "4",
+        "--replicates", "4", "--seed", "1", "--out", str(tmp_path), *extra,
+    )
+    assert result.exit_code == 0, result.output
+    assert threads == [expected]
+
+
+def test_compare_default_threads_are_the_usable_cores(monkeypatch):
+    threads = _three_usable_cores(monkeypatch)
+    args = ("compare", "--alpha", "1", "--p", "30", "--n", "90", "--kmax", "6",
+            "--replicates", "5", "--seed", "8", "--z-threshold", "1e9")
+    default, one = run(*args), run(*args, "--threads", "1")
+    assert default.exit_code == one.exit_code == 0, default.output
+    assert threads == [3, 1]
+    assert default.output == one.output
 
 
 def test_compare_small_run():

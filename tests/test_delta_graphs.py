@@ -145,6 +145,15 @@ def test_contributing_sets_level_two_example():
     assert sets.t_star == 2
 
 
+def test_enumeration_cap_binds_brute_mode_only():
+    core = (1, 2, 1, 2, 3, 4, 3, 4, 3, 5, 6, 5, 6)  # 13 letters, beyond K_MAX
+    sets = contributing_sets(core)
+    assert sets.levels[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1),)
+    assert sets.t_star == 2
+    with pytest.raises(ValueError, match=r"\|I\|=13 exceeds k_max=12"):
+        contributing_sets(core, mode="brute")
+
+
 def test_contributing_sets_rejects_reducible():
     with pytest.raises(ValueError):
         contributing_sets((1, 2, 3))

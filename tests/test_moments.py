@@ -1,15 +1,21 @@
+import importlib.util
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from heavymp import _qtable
 from heavymp.combinatorics import stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import (
+    MOMENT_K_MAX,
     _core_polynomial,
     _heavy_tail_gap_exact,
     _irreducible_polynomial,
@@ -201,8 +207,20 @@ def test_heavy_moment_matches_unfolded_sum():
             )
 
 
-def test_moment_table_walks_each_irreducible_path_once(monkeypatch):
-    from heavymp import moments, paths
+BUILD_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_qtable.py"
+
+
+@pytest.fixture(scope="module")
+def build():
+    """The table's build script, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("build_qtable", BUILD_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_walks_each_irreducible_path_once(build, monkeypatch):
+    from heavymp import paths
 
     walk = paths.singleton_free_paths
     walked = []
@@ -212,16 +230,84 @@ def test_moment_table_walks_each_irreducible_path_once(monkeypatch):
             walked.append(path)
             yield path
 
-    moments._irreducible_polynomial.cache_clear()
     monkeypatch.setattr(paths, "singleton_free_paths", counting_walk)
-    try:
-        moment_table(1.0, 0.2, 10)
-        moment_table(0.5, 2.0, 10)
-    finally:
-        moments._irreducible_polynomial.cache_clear()
+    for length in range(4, 11):
+        build.build_irreducible_polynomial(length)
     # irreducible paths of lengths 4..10: 1 + 0 + 5 + 14 + 66 + 307 + 1554, where
     # the path census shortened the 22,080 singleton-free paths of those lengths
     assert len(walked) == len(set(walked)) == 1_947
+
+
+def test_moment_table_walks_no_path(monkeypatch):
+    from heavymp import delta_graphs, moments, paths
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("moments read Q_l from the table")
+
+    for module, name in ((paths, "singleton_free_paths"), (paths, "irreducible_classes"),
+                         (delta_graphs, "contributing_sets"), (moments, "contributing_sets")):
+        monkeypatch.setattr(module, name, no_walk)
+    moments._irreducible_polynomial.cache_clear()
+    try:
+        table = moment_table(1.0, 0.2, MOMENT_K_MAX)
+    finally:
+        moments._irreducible_polynomial.cache_clear()
+    assert table.mu[-1] == heavy_mp_moment(1.0, 0.2, MOMENT_K_MAX)
+
+
+def test_table_matches_a_rebuild(build):
+    assert MOMENT_K_MAX == max(_qtable.Q) == 14
+    assert sorted(_qtable.Q) == list(range(4, 15))
+    for length in range(4, 12):
+        built = build.build_irreducible_polynomial(length)
+        assert built == dict(_irreducible_polynomial(length))
+        assert "".join(f"{i} {j} {c}\n" for (i, j), c in built.items()) == _qtable.Q[length]
+
+
+def test_build_script_writes_the_table_prefix():
+    # the script's output for lengths 4..7 (Q_5 is empty) carries the committed entries exactly
+    done = subprocess.run(
+        [sys.executable, str(BUILD_SCRIPT), "--max-length", "7"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    namespace = {}
+    exec(done.stdout, namespace)
+    assert namespace["Q"] == {length: _qtable.Q[length] for length in range(4, 8)}
+
+
+def a_polynomial(length, j):
+    """The gamma^j coefficient of Q_length, ascending in a = alpha/2."""
+    coefficients = {i: c for (i, jj), c in _irreducible_polynomial(length) if jj == j}
+    return [coefficients.get(i, Fraction(0)) for i in range(max(coefficients, default=-1) + 1)]
+
+
+def test_every_q_is_divisible_by_one_minus_a_squared():
+    # (1 - a)^2 divides a polynomial in a exactly when it and its derivative vanish at a = 1
+    for length in range(4, MOMENT_K_MAX + 1):
+        assert _irreducible_polynomial(length) or length == 5
+        for j in {jj for (_i, jj), _c in _irreducible_polynomial(length)}:
+            poly = a_polynomial(length, j)
+            assert sum(poly) == 0
+            assert sum(i * c for i, c in enumerate(poly)) == 0
+
+
+def test_gamma_one_coefficient_of_q():
+    # the r = 2 cores 1,2,1,2,...: (prod_{j=1}^{m-1} (j - a) / (m-1)!)^2 for length 2m, 0 for odd
+    for length in range(4, MOMENT_K_MAX + 1):
+        poly = a_polynomial(length, 1)
+        if length % 2:
+            assert poly == []
+            continue
+        m = length // 2
+        root = [Fraction(1)]
+        for j in range(1, m):
+            root = [j * c - lower for c, lower in zip(root + [0], [0] + root)]
+        square = [Fraction(0)] * (2 * m - 1)
+        for i, c in enumerate(root):
+            for n, d in enumerate(root):
+                square[i + n] += Fraction(c * d, math.factorial(m - 1) ** 2)
+        assert poly == square
 
 
 @pytest.mark.parametrize(
@@ -280,21 +366,15 @@ def test_alpha_zero_moments_are_modified_poisson_moments():
             assert mu == poisson
 
 
-def test_gap_does_not_depend_on_class_order(monkeypatch):
-    from heavymp import moments
-
-    classes = moments.irreducible_classes
+def test_gap_does_not_depend_on_class_order(build, monkeypatch):
+    classes = build.irreducible_classes
 
     def reversed_classes(length):
         return reversed(list(classes(length)))
 
-    before = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 11)]
-    monkeypatch.setattr(moments, "irreducible_classes", reversed_classes)
-    moments._irreducible_polynomial.cache_clear()
-    try:
-        after = [heavy_tail_gap(1.0, 0.2, k) for k in range(1, 11)]
-    finally:
-        moments._irreducible_polynomial.cache_clear()
+    before = [list(build.build_irreducible_polynomial(length).items()) for length in range(4, 11)]
+    monkeypatch.setattr(build, "irreducible_classes", reversed_classes)
+    after = [list(build.build_irreducible_polynomial(length).items()) for length in range(4, 11)]
     assert after == before
 
 
@@ -397,9 +477,10 @@ def test_irreducible_count_without_enumeration(monkeypatch):
     assert sum(
         count_irreducible(length, r) for length in range(4, 21) for r in range(1, length + 1)
     ) == 413_096_308_829
-    # 58,892 of lengths 4..12, then 296,582 of length 13
-    with pytest.raises(RuntimeError, match="the 355474 irreducible paths of lengths 4..13.*Bell"):
-        heavy_tail_gap(1.0, 0.2, 13)
+    # 58,892 of lengths 4..12, 296,582 of length 13, 1,913,561 of length 14
+    # and 12,988,776 of length 15
+    with pytest.raises(RuntimeError, match="the 15257811 irreducible paths of lengths 4..15.*Bell"):
+        heavy_tail_gap(1.0, 0.2, 15)
 
 
 def test_moments_are_rounded_once():
@@ -462,7 +543,7 @@ def test_heavy_moment_argument_errors():
     with pytest.raises(ValueError):
         heavy_mp_moment(1.0, -1.0, 4)
     with pytest.raises(RuntimeError, match="Bell"):
-        heavy_mp_moment(1.0, 0.2, 13)
+        heavy_mp_moment(1.0, 0.2, 15)
 
 
 def test_moment_table():
@@ -559,10 +640,10 @@ def test_cores_lie_in_irreducible_union():
                 assert shorten(core).shortened == core
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="a paper-scale moment (a cold k=12 takes about 1.5 s); set HEAVYMP_FULL_SCALE=1",
-)
 def test_heavy_moment_k12():
     assert heavy_mp_moment(1.0, 0.2, 12) == pytest.approx(1268.2439912179786, rel=1e-12, abs=0)
+
+
+def test_heavy_moments_k13_k14():
+    assert heavy_mp_moment(1.0, 0.2, 13) == pytest.approx(3796.438241972546, rel=1e-12, abs=0)
+    assert heavy_mp_moment(1.0, 0.2, 14) == pytest.approx(12138.448302765602, rel=1e-12, abs=0)
