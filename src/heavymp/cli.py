@@ -3,6 +3,10 @@ boundary, simulate and compare subcommands with CSV/JSON output.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O error.
 All commands are deterministic given their flags (and seed).
+
+Only ``simulate`` and ``compare`` import the Monte Carlo engine, and with it
+numpy, so the exact subcommands start without them.  The names the CLI and
+the engine share, ``DISTRIBUTIONS`` and ``_fmt``, live here for that reason.
 """
 
 from __future__ import annotations
@@ -12,11 +16,23 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path as FilePath
+from typing import TYPE_CHECKING
 
 import click
 
-from heavymp import combinatorics, delta_graphs, moments, paths, simulation
-from heavymp.simulation import _fmt
+from heavymp import combinatorics, delta_graphs, moments, paths
+
+if TYPE_CHECKING:
+    from heavymp import simulation
+
+DISTRIBUTIONS = ("t", "pareto", "gaussian")
+
+# cgroup v2's CPU limit, "<quota> <period>" in microseconds or "max <period>"
+_CPU_MAX = FilePath("/sys/fs/cgroup/cpu.max")
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
 
 
 def _parse_path(text: str, flag: str) -> paths.Path:
@@ -29,23 +45,37 @@ def _parse_path(text: str, flag: str) -> paths.Path:
     return values
 
 
-def _sim_config(threads: int | None, **fields) -> simulation.SimConfig:
-    """The run's SimConfig, with a UsageError for a bad field.
+def _usable_cores() -> int:
+    """CPUs the process may run on, at most ceil(quota / period) under a CPU quota.
+
+    A ``max`` quota, or a cpu.max that is missing or unreadable, adds no cap.
+    """
+    # no affinity mask on macOS or Windows
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        quota, period = _CPU_MAX.read_text().split()
+        return min(cores, -(-int(quota) // int(period)))
+    except (OSError, ValueError):
+        return cores
+
+
+def _run_experiment(threads: int | None, **fields) -> simulation.ExperimentReport:
+    """Run the experiment the fields describe, with a UsageError for a bad field.
 
     Without --threads a run that needs no spectrum takes one replicate thread
-    per CPU the process may run on (a CPU quota is not seen), at most one per
-    replicate, and a spectrum run takes one: its eigvalsh keeps OpenBLAS's
-    own threads, and replicate threads beside them ran slower.
+    per usable CPU (``_usable_cores``), at most one per replicate, and a
+    spectrum run takes one: its eigvalsh keeps OpenBLAS's own threads, and
+    replicate threads beside them ran slower.
     """
+    from heavymp import simulation
+
     try:
         config = simulation.SimConfig(threads=1 if threads is None else threads, **fields)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if threads is None and not config.needs_spectrum:
-        # no affinity mask on macOS or Windows
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        config = replace(config, threads=min(cores, config.replicates))
-    return config
+        config = replace(config, threads=min(_usable_cores(), config.replicates))
+    return simulation.run_experiment(config)
 
 
 _threads_option = click.option(
@@ -186,7 +216,7 @@ def _parse_hist(text: str) -> tuple[int, float, float]:
 @cli.command()
 @click.option("--p", type=int, required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--dist", type=click.Choice(list(simulation.DISTRIBUTIONS)), required=True)
+@click.option("--dist", type=click.Choice(list(DISTRIBUTIONS)), required=True)
 @click.option("--alpha", type=float, default=None)
 @click.option("--k", "k_max", type=int, default=5, show_default=True)
 @click.option("--replicates", type=int, default=50, show_default=True)
@@ -210,11 +240,10 @@ def simulate(
 ) -> None:
     """Simulate replicates and write moments.csv / summary.json to --out."""
     hist = _parse_hist(hist_text) if hist_text else None
-    config = _sim_config(
+    report = _run_experiment(
         threads, p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
         out_dir=out, hist=hist, save_eigenvalues=save_eigenvalues,
     )
-    report = simulation.run_experiment(config)
     for path in report.written:
         click.echo(f"wrote {path}")
 
@@ -225,7 +254,7 @@ def simulate(
 @click.option("--kmax", type=click.IntRange(1, moments.MOMENT_K_MAX), default=5, show_default=True)
 @click.option("--p", type=int, default=500, show_default=True)
 @click.option("--n", type=int, default=2500, show_default=True)
-@click.option("--dist", type=click.Choice(list(simulation.DISTRIBUTIONS)), default="t", show_default=True)
+@click.option("--dist", type=click.Choice(list(DISTRIBUTIONS)), default="t", show_default=True)
 @click.option("--replicates", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_threads_option
@@ -257,10 +286,9 @@ def compare(
     if g <= 0:
         raise click.UsageError(f"--gamma must be positive, got {g}")
     sim_alpha = None if dist == "gaussian" else alpha
-    config = _sim_config(
+    report = _run_experiment(
         threads, p=p, n=n, dist=dist, alpha=sim_alpha, k_max=kmax, replicates=replicates, seed=seed
     )
-    report = simulation.run_experiment(config)
     if dist == "gaussian":
         exact = [moments.mp_moment(g, k) for k in range(1, kmax + 1)]
     else:

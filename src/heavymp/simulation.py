@@ -25,7 +25,8 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-DISTRIBUTIONS = ("t", "pareto", "gaussian")
+# defined in the CLI, which must not import numpy for its exact subcommands
+from heavymp.cli import DISTRIBUTIONS, _fmt
 
 # Below this k_max a replicate that needs no spectrum takes its moments from
 # matrix products instead of eigvalsh: at p=1000 on one thread the products
@@ -349,10 +350,6 @@ def run_experiment(config: SimConfig) -> ExperimentReport:
     if config.out_dir is not None:
         report = _write_report(report)
     return report
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_report(report: ExperimentReport) -> ExperimentReport:

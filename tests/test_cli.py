@@ -1,11 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from heavymp import cli as cli_module
 from heavymp import simulation
 from heavymp.cli import cli, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*args):
@@ -112,9 +118,16 @@ def test_simulate_byte_identical_across_threads_at_blas_threading_size(tmp_path)
         assert (tmp_path / "1" / fname).read_bytes() == (tmp_path / "2" / fname).read_bytes()
 
 
-def _three_usable_cores(monkeypatch):
-    """Report three usable cores and record the thread count of every run."""
+def _three_usable_cores(monkeypatch, tmp_path_factory, cpu_max=None):
+    """Report three usable cores and record the thread count of every run.
+
+    ``cpu_max`` is the text of the cgroup cpu.max file, None for no such file.
+    """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    path = tmp_path_factory.mktemp("cgroup") / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    monkeypatch.setattr(cli_module, "_CPU_MAX", path)
     run_experiment, threads = simulation.run_experiment, []
 
     def recording_run(config):
@@ -125,8 +138,8 @@ def _three_usable_cores(monkeypatch):
     return threads
 
 
-def test_simulate_default_threads_are_the_usable_cores(tmp_path, monkeypatch):
-    threads = _three_usable_cores(monkeypatch)
+def test_simulate_default_threads_are_the_usable_cores(tmp_path, monkeypatch, tmp_path_factory):
+    threads = _three_usable_cores(monkeypatch, tmp_path_factory)
     for name, extra in (("default", ()), ("one", ("--threads", "1"))):
         result = run(
             "simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60",
@@ -146,8 +159,8 @@ def test_simulate_default_threads_are_the_usable_cores(tmp_path, monkeypatch):
         (("--k", "9"), 1),
     ],
 )
-def test_simulate_default_threads_cap(tmp_path, monkeypatch, extra, expected):
-    threads = _three_usable_cores(monkeypatch)
+def test_simulate_default_threads_cap(tmp_path, monkeypatch, tmp_path_factory, extra, expected):
+    threads = _three_usable_cores(monkeypatch, tmp_path_factory)
     result = run(
         "simulate", "--dist", "gaussian", "--p", "8", "--n", "24", "--k", "4",
         "--replicates", "4", "--seed", "1", "--out", str(tmp_path), *extra,
@@ -156,14 +169,74 @@ def test_simulate_default_threads_cap(tmp_path, monkeypatch, extra, expected):
     assert threads == [expected]
 
 
-def test_compare_default_threads_are_the_usable_cores(monkeypatch):
-    threads = _three_usable_cores(monkeypatch)
+def test_compare_default_threads_are_the_usable_cores(monkeypatch, tmp_path_factory):
+    threads = _three_usable_cores(monkeypatch, tmp_path_factory)
     args = ("compare", "--alpha", "1", "--p", "30", "--n", "90", "--kmax", "6",
             "--replicates", "5", "--seed", "8", "--z-threshold", "1e9")
     default, one = run(*args), run(*args, "--threads", "1")
     assert default.exit_code == one.exit_code == 0, default.output
     assert threads == [3, 1]
     assert default.output == one.output
+
+
+@pytest.mark.parametrize(
+    "cpu_max, extra, expected",
+    [
+        ("150000 100000\n", (), 2),  # 1.5 CPUs of quota round up to 2 threads
+        ("50000 100000\n", (), 1),
+        ("150000 100000\n", ("--replicates", "1"), 1),
+        ("max 100000\n", (), 3),
+        ("", (), 3),  # unreadable as a quota
+        (None, (), 3),  # no cgroup v2 cpu.max
+    ],
+)
+def test_simulate_default_threads_see_the_cpu_quota(
+    tmp_path, monkeypatch, tmp_path_factory, cpu_max, extra, expected
+):
+    threads = _three_usable_cores(monkeypatch, tmp_path_factory, cpu_max)
+    result = run(
+        "simulate", "--dist", "gaussian", "--p", "8", "--n", "24", "--k", "4",
+        "--replicates", "4", "--seed", "1", "--out", str(tmp_path), *extra,
+    )
+    assert result.exit_code == 0, result.output
+    assert threads == [expected]
+
+
+def test_dist_choices_are_the_sampled_distributions():
+    for command in ("simulate", "compare"):
+        (dist,) = [param for param in cli.commands[command].params if param.name == "dist"]
+        assert tuple(dist.type.choices) == simulation.DISTRIBUTIONS
+
+
+_NUMPY_FREE_RUN = """
+import sys
+from heavymp import cli
+
+assert "numpy" not in sys.modules and "heavymp.simulation" not in sys.modules
+for args in (
+    ["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14", "--format", "json"],
+    ["counts", "--kmax", "6"],
+    ["paths", "--k", "5", "--r", "2"],
+    ["delta", "--i", "1,2,1,2", "--t", "1,1,1,1"],
+    ["contributing", "--i", "1,2,1,2,3,4,3,4,3"],
+    ["boundary", "--gamma", "1", "--kmax", "4"],
+):
+    assert cli.main(args) == 0, args
+    assert "numpy" not in sys.modules, args
+assert cli.main(["simulate", "--dist", "t", "--alpha", "1", "--p", "6", "--n", "18",
+                 "--k", "3", "--replicates", "2", "--out", sys.argv[1]]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUN, str(tmp_path / "sim")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert (tmp_path / "sim" / "summary.json").exists()
 
 
 def test_compare_small_run():
