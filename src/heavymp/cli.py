@@ -324,9 +324,8 @@ def compare(
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        # without standalone mode, click returns the code of a ctx.exit(code)
+        code = cli.main(args=argv, standalone_mode=False)
     except (click.UsageError, click.BadParameter) as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
@@ -338,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         return 3
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Exact integer counts and enumerators for set partitions.
 
 Everything here is plain Python integer arithmetic, so counts are exact for
-any argument size; the enumeration routines are additionally capped at
-``K_MAX`` because the number of partitions of {1..k} is the k-th Bell number,
+any argument size; the path enumerators built on restricted growth strings
+(``paths.enumerate_canonical_paths``) are capped at ``K_MAX`` because the number of partitions of {1..k} is the k-th Bell number,
 which grows super-exponentially (Bell(12) = 4,213,597; Bell(20) > 5*10^13).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator
@@ -28,40 +27,6 @@ def _check_range(k: int, r: int, k_max: int | None = None) -> None:
         raise ValueError(f"r must satisfy 1 <= r <= k={k}, got {r}")
     if k_max is not None and k > k_max:
         raise ValueError(f"k={k} exceeds k_max={k_max}")
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {1..k} into disjoint non-empty blocks.
-
-    Blocks are ordered by their smallest element, so block j always contains
-    the smallest element not covered by blocks 1..j-1.
-    """
-
-    k: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        prev_min = 0
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if block & seen:
-                raise ValueError("blocks are not disjoint")
-            if min(block) <= prev_min:
-                raise ValueError("blocks not ordered by smallest element")
-            prev_min = min(block)
-            seen |= block
-        if seen != set(range(1, self.k + 1)):
-            raise ValueError(f"blocks do not cover {{1..{self.k}}}")
-
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
-
-    def min_block_size(self) -> int:
-        return min(len(b) for b in self.blocks)
 
 
 @lru_cache(maxsize=None)
@@ -204,16 +169,3 @@ def restricted_growth_strings(k: int, r: int | None = None) -> Iterator[tuple[in
                 a[j] = m
             maxes[j] = m
 
-
-def enumerate_partitions(k: int, r: int, k_max: int = K_MAX) -> Iterator[SetPartition]:
-    """Yield every r-partition of {1..k} exactly once.
-
-    Order is lexicographic on the underlying restricted growth strings, so
-    streams are reproducible across runs.
-    """
-    _check_range(k, r, k_max)
-    for rgs in restricted_growth_strings(k, r):
-        blocks: list[list[int]] = [[] for _ in range(r)]
-        for pos, label in enumerate(rgs, start=1):
-            blocks[label].append(pos)
-        yield SetPartition(k, tuple(frozenset(b) for b in blocks))

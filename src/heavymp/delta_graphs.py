@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-# SetPartition is no longer built here; the name stays because the benchmark
-# tracer (perfbench/spans.py) counts constructions in this namespace
-from heavymp.combinatorics import K_MAX, SetPartition  # noqa: F401
+from heavymp.combinatorics import K_MAX
 from heavymp.paths import Path, enumerate_canonical_paths, is_canonical, shorten
 
 
@@ -115,8 +113,6 @@ class ContributingSets:
         for s, level in enumerate(self.levels, start=1):
             for t_path in level:
                 yield s, t_path
-
-
 
 
 def _tree_walks(i_path: Path) -> dict[int, list[Path]]:

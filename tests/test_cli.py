@@ -256,6 +256,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["nonexistent"]) == 1
 
 
+def test_compare_over_threshold_exits_2_through_main():
+    # the installed entry point calls main, not CliRunner; worst |z| here is 1.10
+    code = main(
+        ["compare", "--alpha", "1", "--p", "40", "--n", "200", "--dist", "pareto",
+         "--kmax", "4", "--replicates", "6", "--seed", "3", "--z-threshold", "0.01"]
+    )
+    assert code == 2
+
+
 def test_main_io_error(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("file, not a directory")

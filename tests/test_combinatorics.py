@@ -3,15 +3,14 @@ import math
 import pytest
 
 from heavymp.combinatorics import (
-    SetPartition,
     bell,
     count_c0,
     count_norun_paths,
-    enumerate_partitions,
     restricted_growth_strings,
     stirling2,
     stirling2_assoc,
 )
+from oracles import SetPartition, enumerate_partitions
 
 
 def brute_partitions(k):

@@ -23,12 +23,12 @@ from heavymp.moments import (
     boundary_moment_alpha0,
     heavy_mp_moment,
     heavy_tail_gap,
-    limit_pF,
     moment_table,
     mp_moment,
     mp_moment_exact,
     self_normalized_moment_limit,
 )
+from oracles import dihedral_representative, limit_pF
 
 
 def test_mp_moment_golden_rationals():
@@ -161,7 +161,7 @@ def test_limit_pF_matches_gamma_function_oracle():
 
 
 def test_limit_pF_constant_on_dihedral_classes():
-    from heavymp.paths import PathClass, canonicalize, dihedral_representative, enumerate_class
+    from heavymp.paths import PathClass, canonicalize, enumerate_class
 
     cores = [
         core
@@ -383,7 +383,7 @@ def core_census(m):
     """Oracle: the singleton-free canonical paths of length m with a non-empty
     core, each shortened, counted by (dihedral representative of the core,
     simples)."""
-    from heavymp.paths import dihedral_representative, shorten, singleton_free_paths
+    from heavymp.paths import shorten, singleton_free_paths
 
     by_core = Counter()
     for path in singleton_free_paths(m):

@@ -9,17 +9,14 @@ from heavymp.paths import (
     PathClass,
     canonicalize,
     classify,
-    dihedral_representative,
     enumerate_canonical_paths,
     enumerate_class,
-    enumerate_simples,
     irreducible_classes,
     is_canonical,
-    partition_to_path,
-    path_to_partition,
     shorten,
     singleton_free_paths,
 )
+from oracles import dihedral_representative, enumerate_simples, partition_to_path, path_to_partition
 
 paths_strategy = st.lists(st.integers(min_value=1, max_value=5), max_size=10).map(tuple)
 

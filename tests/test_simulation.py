@@ -21,6 +21,7 @@ from heavymp.simulation import (
     self_normalized_fourth_moment,
     trace_moments,
 )
+from oracles import expected_m2, expected_m3
 
 
 def test_sample_matrix_deterministic():
@@ -437,6 +438,20 @@ def test_run_experiment_outputs(tmp_path):
         assert (tmp_path / f"eigenvalues_{j}.csv").exists()
     assert (tmp_path / "hist.csv").exists()
     assert len(report.samples) == 4
+
+
+@pytest.mark.parametrize("dist,alpha", [("gaussian", None), ("t", 1.0), ("pareto", 0.7)])
+def test_finite_n_moment_expectations(dist, alpha):
+    # E m_2 and E m_3 are exact at finite (p, n) for any iid symmetric law, so
+    # unlike the n -> infinity limits they carry no finite-size bias
+    p, n = 50, 200
+    report = run_experiment(
+        SimConfig(p=p, n=n, dist=dist, alpha=alpha, k_max=3, replicates=2000, seed=11, threads=2)
+    )
+    stderr = report.stderr_moments()
+    for k, expected in ((2, expected_m2(p, n)), (3, expected_m3(p, n))):
+        z = (report.mean_moments[k - 1] - float(expected)) / stderr[k - 1]
+        assert abs(z) < 4, (k, z)
 
 
 def test_sim_config_validation():
