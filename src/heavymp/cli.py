@@ -292,7 +292,7 @@ def compare(
     if dist == "gaussian":
         exact = [moments.mp_moment(g, k) for k in range(1, kmax + 1)]
     else:
-        exact = [moments.heavy_mp_moment(alpha, g, k) for k in range(1, kmax + 1)]
+        exact = moments.moment_table(alpha, g, kmax).mu
     stderr = report.stderr_moments()
     rows = []
     worst = 0.0

@@ -14,7 +14,10 @@ and number of simple removals is a product of two binomials (see
 irreducible paths.  scripts/build_qtable.py builds them once, walking the
 irreducible paths of lengths 4..14 folded into dihedral classes, and writes
 their exact coefficients to ``heavymp._qtable``, which moments read: no
-moment walks a path, and a cold k = 14 moment takes a few milliseconds.
+moment walks a path.  At a point (alpha, gamma), each Q_l becomes one integer
+numerator over a denominator shared by all l, and beta_1..beta_K and
+d_1..d_K come out of one pass in integers (``_moment_numerators``), each
+rounded once by an integer division: a cold k = 14 table takes under 2 ms.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
 def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:
     """k-th moment of the heavy-tailed limiting spectral law, beta_k + d_k,
     summed exactly and rounded once."""
-    gap = _checked_gap(alpha, gamma, k)
-    return float(mp_moment_exact(gamma, k) + gap)
+    b, d, den = _checked_numerators(alpha, gamma, k)[-1]
+    return (b + d) / den
 
 
 def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
@@ -150,14 +153,16 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
 
     where Q_l sums gamma^(r-1) P_I (``_core_polynomial``) over the
     irreducible canonical paths I of length l, a polynomial in alpha/2 and
-    gamma read from the committed table (``_irreducible_polynomial``).  So
-    d_k depends only on Q_4..Q_k.  It is evaluated exactly at the binary values
-    of alpha and gamma and rounded once.
+    gamma read from the committed table.  So d_k depends only on Q_4..Q_k.
+    It is evaluated in integers at the binary values of alpha and gamma, as
+    one numerator over a common denominator (``_moment_numerators``), and
+    rounded once by a single integer division.
     """
-    return float(_checked_gap(alpha, gamma, k))
+    _b, d, den = _checked_numerators(alpha, gamma, k)[-1]
+    return d / den
 
 
-def _checked_gap(alpha: float, gamma: float, k: int) -> Fraction:
+def _checked_numerators(alpha: float, gamma: float, k: int) -> list[tuple[int, int, int]]:
     _check_alpha(alpha)
     _check_gamma(gamma)
     if k < 1:
@@ -171,27 +176,75 @@ def _checked_gap(alpha: float, gamma: float, k: int) -> Fraction:
             f"and building Q_4..Q_{k} walks the {walked} irreducible paths of lengths 4..{k}, "
             f"a count bounded by the Bell numbers and growing nearly as fast"
         )
-    return _heavy_tail_gap_exact(Fraction(alpha), Fraction(gamma), k)
+    return _moment_numerators(Fraction(alpha), Fraction(gamma), k)
 
 
-def _heavy_tail_gap_exact(alpha: Fraction, gamma: Fraction, k: int) -> Fraction:
+def _heavy_tail_gap_exact(alpha: RationalLike, gamma: RationalLike, k: int) -> Fraction:
     """d_k exactly, for any rational alpha and gamma (alpha = 0 and 2 included)."""
+    _b, d, den = _moment_numerators(Fraction(alpha), Fraction(gamma), k)[-1]
+    return Fraction(d, den)
+
+
+def _moment_numerators(alpha: Fraction, gamma: Fraction, k_max: int) -> list[tuple[int, int, int]]:
+    """(b, d, den) for k = 1..k_max: beta_k = b / den and d_k = d / den exactly.
+
+    With a = alpha/2 = A/D_a and gamma = G/D_g, every Q_l is one integer
+    numerator q_l over the shared denominator L D_a^I D_g^J (L the lcm of the
+    table's denominators, I and J its top powers of a and gamma), and the
+    terms of d_k and beta_k share the denominator L D_a^I D_g^J D_g^(k-1).
+    An int division rounds correctly, so b / den is float(Fraction(b, den)).
+    """
     a = alpha / 2
-    total = Fraction(0)
-    for length in range(4, k + 1):
-        q = sum(c * a**i * gamma**j for (i, j), c in _irreducible_polynomial(length))
-        for s in range((k - length) // 2 + 1):
-            n = length + 2 * s
-            total += comb(k, n) * comb(n, s) * gamma**s * (1 + gamma) ** (k - n) * q
-    return total
+    big_a, den_a = a.numerator, a.denominator
+    big_g, den_g = gamma.numerator, gamma.denominator
+    polys = {length: _integer_polynomial(length) for length in range(4, k_max + 1)}
+    lcm = math.lcm(*(poly_lcm for poly_lcm, _terms in polys.values()))
+    top_i = max((i for _lcm, terms in polys.values() for i, _j, _c in terms), default=0)
+    top_j = max((j for _lcm, terms in polys.values() for _i, j, _c in terms), default=0)
+    a_terms = [big_a**i * den_a ** (top_i - i) for i in range(top_i + 1)]
+    g_terms = [big_g**j * den_g ** (top_j - j) for j in range(top_j + 1)]
+    q = {
+        length: lcm // poly_lcm * sum(c * a_terms[i] * g_terms[j] for i, j, c in terms)
+        for length, (poly_lcm, terms) in polys.items()
+    }
+    q_den = lcm * den_a**top_i * den_g**top_j
+    g_pow, one_plus_g_pow, den_g_pow = ([1] for _ in range(3))
+    for _ in range(k_max):
+        g_pow.append(g_pow[-1] * big_g)
+        one_plus_g_pow.append(one_plus_g_pow[-1] * (den_g + big_g))
+        den_g_pow.append(den_g_pow[-1] * den_g)
+    rows = []
+    for k in range(1, k_max + 1):
+        # beta_k = sum_r N(k, r) gamma^(r-1), N(k, r) = C(k, r-1) C(k-1, r-1) / r the
+        # Narayana numbers, which are integers
+        b = sum(
+            comb(k, r - 1) * comb(k - 1, r - 1) // r * g_pow[r - 1] * den_g_pow[k - r]
+            for r in range(1, k + 1)
+        )
+        # gamma^s (1 + gamma)^(k-n) = G^s (D_g + G)^(k-n) / D_g^(k-l-s) with n = l + 2s,
+        # so over D_g^(k-1) the term takes D_g^(l+s-1)
+        d = sum(
+            comb(k, length + 2 * s) * comb(length + 2 * s, s) * g_pow[s]
+            * one_plus_g_pow[k - length - 2 * s] * den_g_pow[length + s - 1] * q[length]
+            for length in range(4, k + 1)
+            for s in range((k - length) // 2 + 1)
+        )
+        rows.append((b * q_den, d, q_den * den_g_pow[k - 1]))
+    return rows
 
 
 @lru_cache(maxsize=None)
-def _irreducible_polynomial(length: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    """Q_length as ((i, j), coefficient of (alpha/2)^i gamma^j) items, parsed
-    from the committed table on first use."""
-    rows = (line.split() for line in _qtable.Q[length].splitlines())
-    return tuple(((int(i), int(j)), Fraction(c)) for i, j, c in rows)
+def _integer_polynomial(length: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Q_length as (L, ((i, j, c), ...)) with c / L the coefficient of
+    (alpha/2)^i gamma^j and L the lcm of the denominators, parsed from the
+    committed table on first use."""
+    terms = []
+    for line in _qtable.Q[length].splitlines():
+        i, j, coefficient = line.split()
+        num, _, den = coefficient.partition("/")
+        terms.append((int(i), int(j), int(num), int(den or 1)))
+    lcm = math.lcm(*(den for _i, _j, _num, den in terms))
+    return lcm, tuple((i, j, num * (lcm // den)) for i, j, num, den in terms)
 
 
 @dataclass(frozen=True)
@@ -212,11 +265,10 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     _check_gamma(gamma)
     if not 1 <= k_max <= MOMENT_K_MAX:
         raise ValueError(f"k_max must lie in [1, {MOMENT_K_MAX}], got {k_max}")
-    a, g = Fraction(alpha), Fraction(gamma)
-    beta = [mp_moment_exact(g, k) for k in range(1, k_max + 1)]
-    d = [_heavy_tail_gap_exact(a, g, k) for k in range(1, k_max + 1)]
-    mu = [b + x for b, x in zip(beta, d)]
-    beta, d, mu = (tuple(map(float, exact)) for exact in (beta, d, mu))
+    rows = _moment_numerators(Fraction(alpha), Fraction(gamma), k_max)
+    beta = tuple(b / den for b, _d, den in rows)
+    d = tuple(d / den for _b, d, den in rows)
+    mu = tuple((b + d) / den for b, d, den in rows)
     return MomentTable(alpha, gamma, k_max, beta, d, mu)
 
 

@@ -3,16 +3,21 @@
 The exact engine reads the Q_l table and walks irreducible classes directly,
 so set partitions, the path/partition bijection, the paper's simple-removal
 sets, the dihedral representative and the per-core limit serve here as
-independent oracles.  The finite-(p, n) moment expectations check the Monte
-Carlo engine against numbers that carry no n -> infinity bias.
+independent oracles.  The engine sums d_k in integers over one common
+denominator, and the per-k ``Fraction`` sum checks it.  The finite-(p, n)
+moment expectations check the Monte Carlo engine against numbers that carry
+no n -> infinity bias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Iterator
 
+from heavymp import _qtable
 from heavymp.combinatorics import K_MAX, _check_range, restricted_growth_strings
 from heavymp.moments import _check_alpha, _check_gamma, _core_polynomial
 from heavymp.paths import Path, canonicalize, enumerate_canonical_paths, is_canonical, shorten
@@ -114,6 +119,27 @@ def limit_pF(i_path: Path, alpha: float, gamma: float) -> float:
     a = Fraction(alpha) / 2
     value = sum(c * a**i for i, c in enumerate(_core_polynomial(i_path)))
     return float(Fraction(gamma) ** (max(i_path) - 1) * value)
+
+
+def heavy_tail_gap_fractions(alpha: Fraction, gamma: Fraction, k: int) -> Fraction:
+    """d_k exactly, for any rational alpha and gamma (alpha = 0 and 2 included),
+    summed term by term in Fractions."""
+    a = alpha / 2
+    total = Fraction(0)
+    for length in range(4, k + 1):
+        q = sum(c * a**i * gamma**j for (i, j), c in irreducible_polynomial(length))
+        for s in range((k - length) // 2 + 1):
+            n = length + 2 * s
+            total += comb(k, n) * comb(n, s) * gamma**s * (1 + gamma) ** (k - n) * q
+    return total
+
+
+@lru_cache(maxsize=None)
+def irreducible_polynomial(length: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """Q_length as ((i, j), coefficient of (alpha/2)^i gamma^j) items, parsed
+    from the committed table on first use."""
+    rows = (line.split() for line in _qtable.Q[length].splitlines())
+    return tuple(((int(i), int(j)), Fraction(c)) for i, j, c in rows)
 
 
 def expected_m2(p: int, n: int) -> Fraction:

@@ -65,6 +65,21 @@ def test_moments_csv_and_json_agree():
     assert abs(payload["mu"][3] - 2.498) < 5e-4
 
 
+GOLDEN = Path(__file__).resolve().parent / "data"
+# the benchmark's exact_table points and two near the ends of (0, 2)
+GOLDEN_POINTS = [("1.0", "0.2"), ("0.5", "0.1"), ("0.75", "0.25"), ("1.25", "0.5"), ("1.5", "1.0"),
+                 ("0.25", "2.0"), ("1.75", "0.5"), ("1.0", "1.0"), ("1e-06", "0.2"), ("1.999", "0.2")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("alpha, gamma", GOLDEN_POINTS)
+def test_moments_output_matches_the_golden_bytes(alpha, gamma, fmt):
+    # tests/data holds `heavymp moments --kmax 14` as the per-k Fraction sum printed it
+    result = run("moments", "--alpha", alpha, "--gamma", gamma, "--kmax", "14", "--format", fmt)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / f"moments_a{alpha}_g{gamma}_k14.{fmt}").read_bytes()
+
+
 def test_moment_cap_is_the_table_top_and_enumerators_stay_capped():
     payload = json.loads(run("moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14",
                              "--format", "json").output)

@@ -18,7 +18,6 @@ from heavymp.moments import (
     MOMENT_K_MAX,
     _core_polynomial,
     _heavy_tail_gap_exact,
-    _irreducible_polynomial,
     boundary_modified_poisson,
     boundary_moment_alpha0,
     heavy_mp_moment,
@@ -28,7 +27,12 @@ from heavymp.moments import (
     mp_moment_exact,
     self_normalized_moment_limit,
 )
-from oracles import dihedral_representative, limit_pF
+from oracles import (
+    dihedral_representative,
+    heavy_tail_gap_fractions,
+    irreducible_polynomial,
+    limit_pF,
+)
 
 
 def test_mp_moment_golden_rationals():
@@ -247,11 +251,11 @@ def test_moment_table_walks_no_path(monkeypatch):
     for module, name in ((paths, "singleton_free_paths"), (paths, "irreducible_classes"),
                          (delta_graphs, "contributing_sets"), (moments, "contributing_sets")):
         monkeypatch.setattr(module, name, no_walk)
-    moments._irreducible_polynomial.cache_clear()
+    moments._integer_polynomial.cache_clear()
     try:
         table = moment_table(1.0, 0.2, MOMENT_K_MAX)
     finally:
-        moments._irreducible_polynomial.cache_clear()
+        moments._integer_polynomial.cache_clear()
     assert table.mu[-1] == heavy_mp_moment(1.0, 0.2, MOMENT_K_MAX)
 
 
@@ -260,7 +264,7 @@ def test_table_matches_a_rebuild(build):
     assert sorted(_qtable.Q) == list(range(4, 15))
     for length in range(4, 12):
         built = build.build_irreducible_polynomial(length)
-        assert built == dict(_irreducible_polynomial(length))
+        assert built == dict(irreducible_polynomial(length))
         assert "".join(f"{i} {j} {c}\n" for (i, j), c in built.items()) == _qtable.Q[length]
 
 
@@ -278,15 +282,15 @@ def test_build_script_writes_the_table_prefix():
 
 def a_polynomial(length, j):
     """The gamma^j coefficient of Q_length, ascending in a = alpha/2."""
-    coefficients = {i: c for (i, jj), c in _irreducible_polynomial(length) if jj == j}
+    coefficients = {i: c for (i, jj), c in irreducible_polynomial(length) if jj == j}
     return [coefficients.get(i, Fraction(0)) for i in range(max(coefficients, default=-1) + 1)]
 
 
 def test_every_q_is_divisible_by_one_minus_a_squared():
     # (1 - a)^2 divides a polynomial in a exactly when it and its derivative vanish at a = 1
     for length in range(4, MOMENT_K_MAX + 1):
-        assert _irreducible_polynomial(length) or length == 5
-        for j in {jj for (_i, jj), _c in _irreducible_polynomial(length)}:
+        assert irreducible_polynomial(length) or length == 5
+        for j in {jj for (_i, jj), _c in irreducible_polynomial(length)}:
             poly = a_polynomial(length, j)
             assert sum(poly) == 0
             assert sum(i * c for i, c in enumerate(poly)) == 0
@@ -439,7 +443,7 @@ def test_gap_equals_census_sum():
                 by_census[i, simples + max(core) - 1] += count * c
         for length in range(4, m + 1):
             for s in range((m - length) // 2 + 1):
-                for (i, j), c in _irreducible_polynomial(length):
+                for (i, j), c in irreducible_polynomial(length):
                     by_class[i, j + s] += multiplicity(length, m, s) * c
         census_poly[m] = {key: c for key, c in by_census.items() if c}
         assert census_poly[m] == {key: c for key, c in by_class.items() if c}
@@ -492,6 +496,66 @@ def test_moments_are_rounded_once():
         )
         assert tuple(heavy_mp_moment(alpha, gamma, k) for k in range(1, 11)) == rounded
         assert moment_table(alpha, gamma, 10).mu == rounded
+
+
+# the benchmark's exact_table points (dyadic floats) and two non-dyadic rationals
+TABLE_POINTS = [(1.0, 0.2), (0.5, 0.1), (0.75, 0.25), (1.25, 0.5),
+                (1.5, 1.0), (0.25, 2.0), (1.75, 0.5), (1.0, 1.0)]
+RATIONAL_POINTS = [(Fraction(2, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(7, 4))]
+
+
+def test_integer_sum_equals_the_fraction_sum():
+    ks = range(1, MOMENT_K_MAX + 1)
+    for alpha, gamma in TABLE_POINTS + RATIONAL_POINTS:
+        a, g = Fraction(alpha), Fraction(gamma)
+        gaps = [heavy_tail_gap_fractions(a, g, k) for k in ks]
+        assert [_heavy_tail_gap_exact(a, g, k) for k in ks] == gaps
+        beta = [mp_moment_exact(g, k) for k in ks]
+        table = moment_table(alpha, gamma, MOMENT_K_MAX)
+        assert table.beta == tuple(map(float, beta))
+        assert table.d == tuple(map(float, gaps))
+        assert table.mu == tuple(float(b + d) for b, d in zip(beta, gaps))
+    for alpha in (Fraction(0), Fraction(2)):
+        for gamma in (Fraction(1, 5), Fraction(7, 4)):
+            assert [_heavy_tail_gap_exact(alpha, gamma, k) for k in ks] == [
+                heavy_tail_gap_fractions(alpha, gamma, k) for k in ks
+            ]
+
+
+def series_product(x, y):
+    return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(len(x))]
+
+
+def series_compose(coefficients, x):
+    """sum_m coefficients[m] x^m, truncated to len(x) terms; x has no constant term."""
+    total, power = [0] * len(x), [1] + [0] * (len(x) - 1)
+    for c in coefficients:
+        total = [t + c * p for t, p in zip(total, power)]
+        power = series_product(power, x)
+    return total
+
+
+def test_gap_generating_function():
+    # D(z) = sum_k d_k z^k = (1 - (1 + g) z)^-1 (1 - 4 g w^2)^(-1/2) Q(w B(g w^2)),
+    # w = z / (1 - (1 + g) z), B the Catalan generating function, Q(u) = sum_l Q_l u^l
+    size = MOMENT_K_MAX + 1
+    central = [comb(2 * m, m) for m in range(size)]  # (1 - 4x)^(-1/2)
+    catalan = [c // (m + 1) for m, c in enumerate(central)]
+    for alpha, gamma in [(Fraction(1), Fraction(1, 5)), (Fraction(1, 3), Fraction(7, 4)),
+                         (Fraction(0), Fraction(1, 2)), (Fraction(3, 2), Fraction(2))]:
+        a = alpha / 2
+        geometric = [(1 + gamma) ** n for n in range(size)]
+        w = [0] + geometric[:-1]
+        x = [gamma * c for c in series_product(w, w)]
+        q = [0] * 4 + [
+            sum(c * a**i * gamma**j for (i, j), c in irreducible_polynomial(length))
+            for length in range(4, size)
+        ]
+        u = series_product(w, series_compose(catalan, x))
+        series = series_product(
+            geometric, series_product(series_compose(central, x), series_compose(q, u))
+        )
+        assert series == [0] + [_heavy_tail_gap_exact(alpha, gamma, k) for k in range(1, size)]
 
 
 def exact_det(rows):
