@@ -1,8 +1,11 @@
 """Command-line interface: counts, paths, delta, contributing, moments,
 boundary, simulate and compare subcommands with CSV/JSON output.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O error.
-All commands are deterministic given their flags (and seed).
+Exit codes: 0 success, 1 a rejected argument, 2 numeric failure, 3 I/O error.
+The engines check their own arguments: ``main`` maps the ValueError of a
+rejected argument to 1, an ArithmeticError to 2 and an OSError to 3, so the
+CLI repeats none of their checks.  All commands are deterministic given their
+flags (and seed).
 
 Only ``simulate`` and ``compare`` import the Monte Carlo engine, and with it
 numpy, so the exact subcommands start without them.  The names the CLI and
@@ -60,7 +63,10 @@ def _usable_cores() -> int:
 
 
 def _run_experiment(threads: int | None, **fields) -> simulation.ExperimentReport:
-    """Run the experiment the fields describe, with a UsageError for a bad field.
+    """Run the experiment the fields describe.
+
+    ``SimConfig`` rejects a bad field with a ValueError, which ``main`` maps
+    to exit 1, before any replicate runs.
 
     Without --threads a run that needs no spectrum takes one replicate thread
     per usable CPU (``_usable_cores``), at most one per replicate, and a
@@ -69,10 +75,7 @@ def _run_experiment(threads: int | None, **fields) -> simulation.ExperimentRepor
     """
     from heavymp import simulation
 
-    try:
-        config = simulation.SimConfig(threads=1 if threads is None else threads, **fields)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    config = simulation.SimConfig(threads=1 if threads is None else threads, **fields)
     if threads is None and not config.needs_spectrum:
         config = replace(config, threads=min(_usable_cores(), config.replicates))
     return simulation.run_experiment(config)
@@ -110,8 +113,6 @@ def counts(kmax: int) -> None:
 @click.option("--class", "path_class", type=click.Choice(["c0", "c1", "c2"]), default=None)
 def paths_cmd(k: int, r: int, path_class: str | None) -> None:
     """Print canonical r-paths of length k, one per line, comma-separated."""
-    if not 1 <= r <= k:
-        raise click.UsageError(f"--r must satisfy 1 <= r <= k={k}, got {r}")
     if path_class is None:
         stream = paths.enumerate_canonical_paths(k, r)
     else:
@@ -127,8 +128,6 @@ def delta(i_text: str, t_text: str) -> None:
     """Edge degrees and tree/parity flags of the bipartite path graph."""
     i_path = _parse_path(i_text, "--i")
     t_path = _parse_path(t_text, "--t")
-    if len(i_path) != len(t_path):
-        raise click.UsageError("--i and --t must have the same length")
     graph = delta_graphs.build_delta(i_path, t_path)
     click.echo("i,t,degree")
     for (i, t), d in graph.edge_degrees:
@@ -144,10 +143,7 @@ def delta(i_text: str, t_text: str) -> None:
 def contributing(i_text: str, mode: str) -> None:
     """Contributing column-path levels and the stopping level t*."""
     i_path = _parse_path(i_text, "--i")
-    try:
-        sets = delta_graphs.contributing_sets(i_path, mode=mode)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    sets = delta_graphs.contributing_sets(i_path, mode=mode)
     for s, level in enumerate(sets.levels, start=1):
         for t_path in level:
             click.echo(f"{s}:{','.join(map(str, t_path))}")
@@ -161,10 +157,6 @@ def contributing(i_text: str, mode: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
     """Exact limiting moments: k, beta_k, d_k, mu_k."""
-    if not 0 < alpha < 2:
-        raise click.UsageError(f"--alpha must lie in (0, 2), got {alpha}")
-    if gamma <= 0:
-        raise click.UsageError(f"--gamma must be positive, got {gamma}")
     table = moments.moment_table(alpha, gamma, kmax)
     if fmt == "csv":
         click.echo("k,beta_k,d_k,mu_k")
@@ -189,8 +181,6 @@ def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
 @click.option("--kmax", type=click.IntRange(1, combinatorics.K_MAX), default=6, show_default=True)
 def boundary(gamma: float, kmax: int) -> None:
     """Small-tail-index boundary law: pmf and moments."""
-    if gamma <= 0:
-        raise click.UsageError(f"--gamma must be positive, got {gamma}")
     law = moments.boundary_modified_poisson(gamma)
     click.echo("j,pmf")
     for j in law.support(tail_tol=1e-12):
@@ -201,16 +191,11 @@ def boundary(gamma: float, kmax: int) -> None:
 
 
 def _parse_hist(text: str) -> tuple[int, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.UsageError(f"--hist must be BINS:LO:HI, got {text!r}")
     try:
-        bins, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
+        bins, lo, hi = text.split(":")
+        return int(bins), float(lo), float(hi)
     except ValueError:
         raise click.UsageError(f"--hist must be BINS:LO:HI, got {text!r}")
-    if bins < 1 or hi <= lo:
-        raise click.UsageError(f"--hist needs BINS >= 1 and LO < HI, got {text!r}")
-    return bins, lo, hi
 
 
 @cli.command()
@@ -253,7 +238,7 @@ def simulate(
 @click.option("--gamma", type=float, default=None, help="Defaults to p/n")
 @click.option("--kmax", type=click.IntRange(1, moments.MOMENT_K_MAX), default=5, show_default=True)
 @click.option("--p", type=int, default=500, show_default=True)
-@click.option("--n", type=int, default=2500, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=2500, show_default=True)
 @click.option("--dist", type=click.Choice(list(DISTRIBUTIONS)), default="t", show_default=True)
 @click.option("--replicates", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -280,19 +265,12 @@ def compare(
     Gaussian data are compared against the classical moments; heavy-tailed
     data against the heavy moments at the given tail index.
     """
-    if not 0 < alpha < 2:
-        raise click.UsageError(f"--alpha must lie in (0, 2), got {alpha}")
-    g = gamma if gamma is not None else p / n
-    if g <= 0:
-        raise click.UsageError(f"--gamma must be positive, got {g}")
+    table = moments.moment_table(alpha, p / n if gamma is None else gamma, kmax)
+    exact = table.beta if dist == "gaussian" else table.mu
     sim_alpha = None if dist == "gaussian" else alpha
     report = _run_experiment(
         threads, p=p, n=n, dist=dist, alpha=sim_alpha, k_max=kmax, replicates=replicates, seed=seed
     )
-    if dist == "gaussian":
-        exact = [moments.mp_moment(g, k) for k in range(1, kmax + 1)]
-    else:
-        exact = moments.moment_table(alpha, g, kmax).mu
     stderr = report.stderr_moments()
     rows = []
     worst = 0.0
@@ -326,12 +304,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # without standalone mode, click returns the code of a ctx.exit(code)
         code = cli.main(args=argv, standalone_mode=False)
-    except (click.UsageError, click.BadParameter) as exc:
+    except click.UsageError as exc:  # BadParameter included
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
     except click.Abort:
         return 1
-    except (ArithmeticError, ValueError) as exc:
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 1
+    except ArithmeticError as exc:
         click.echo(f"numeric error: {exc}", err=True)
         return 2
     except OSError as exc:

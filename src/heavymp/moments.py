@@ -30,7 +30,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from heavymp import _qtable
-from heavymp.combinatorics import count_irreducible, stirling2
+from heavymp.combinatorics import count_c0, count_irreducible, stirling2
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.paths import Path
 
@@ -48,24 +48,22 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 def mp_moment_exact(gamma: RationalLike, k: int) -> Fraction:
     """k-th Marchenko-Pastur moment as an exact rational.
 
-    beta_k(gamma) = sum_r (1/r) C(k, r-1) C(k-1, r-1) gamma^(r-1).
+    beta_k(gamma) = sum_r C0(k, r) gamma^(r-1), with C0(k, r) = (1/r) C(k, r-1)
+    C(k-1, r-1) the completely reducible paths (the Narayana numbers).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = Fraction(gamma)
     if g <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return sum(
-        Fraction(comb(k, r - 1) * comb(k - 1, r - 1), r) * g ** (r - 1)
-        for r in range(1, k + 1)
-    )
+    return sum(count_c0(k, r) * g ** (r - 1) for r in range(1, k + 1))
 
 
 def mp_moment(gamma: float, k: int) -> float:
@@ -123,8 +121,7 @@ def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
 def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:
     """k-th moment of the heavy-tailed limiting spectral law, beta_k + d_k,
     summed exactly and rounded once."""
-    b, d, den = _checked_numerators(alpha, gamma, k)[-1]
-    return (b + d) / den
+    return moment_table(alpha, gamma, k).mu[-1]
 
 
 def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
@@ -158,25 +155,7 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
     one numerator over a common denominator (``_moment_numerators``), and
     rounded once by a single integer division.
     """
-    _b, d, den = _checked_numerators(alpha, gamma, k)[-1]
-    return d / den
-
-
-def _checked_numerators(alpha: float, gamma: float, k: int) -> list[tuple[int, int, int]]:
-    _check_alpha(alpha)
-    _check_gamma(gamma)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > MOMENT_K_MAX:
-        walked = sum(
-            count_irreducible(length, r) for length in range(4, k + 1) for r in range(1, length + 1)
-        )
-        raise RuntimeError(
-            f"moment order k={k} exceeds {MOMENT_K_MAX}: the table holds Q_4..Q_{MOMENT_K_MAX}, "
-            f"and building Q_4..Q_{k} walks the {walked} irreducible paths of lengths 4..{k}, "
-            f"a count bounded by the Bell numbers and growing nearly as fast"
-        )
-    return _moment_numerators(Fraction(alpha), Fraction(gamma), k)
+    return moment_table(alpha, gamma, k).d[-1]
 
 
 def _heavy_tail_gap_exact(alpha: RationalLike, gamma: RationalLike, k: int) -> Fraction:
@@ -215,12 +194,8 @@ def _moment_numerators(alpha: Fraction, gamma: Fraction, k_max: int) -> list[tup
         den_g_pow.append(den_g_pow[-1] * den_g)
     rows = []
     for k in range(1, k_max + 1):
-        # beta_k = sum_r N(k, r) gamma^(r-1), N(k, r) = C(k, r-1) C(k-1, r-1) / r the
-        # Narayana numbers, which are integers
-        b = sum(
-            comb(k, r - 1) * comb(k - 1, r - 1) // r * g_pow[r - 1] * den_g_pow[k - r]
-            for r in range(1, k + 1)
-        )
+        # beta_k = sum_r C0(k, r) gamma^(r-1), the completely reducible paths
+        b = sum(count_c0(k, r) * g_pow[r - 1] * den_g_pow[k - r] for r in range(1, k + 1))
         # gamma^s (1 + gamma)^(k-n) = G^s (D_g + G)^(k-n) / D_g^(k-l-s) with n = l + 2s,
         # so over D_g^(k-1) the term takes D_g^(l+s-1)
         d = sum(
@@ -261,10 +236,20 @@ class MomentTable:
 
 
 def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
+    """beta_k, d_k and mu_k for k = 1..k_max; alpha in (0, 2), gamma finite and positive."""
     _check_alpha(alpha)
     _check_gamma(gamma)
-    if not 1 <= k_max <= MOMENT_K_MAX:
-        raise ValueError(f"k_max must lie in [1, {MOMENT_K_MAX}], got {k_max}")
+    if k_max < 1:
+        raise ValueError(f"k must be >= 1, got {k_max}")
+    if k_max > MOMENT_K_MAX:
+        walked = sum(
+            count_irreducible(length, r) for length in range(4, k_max + 1) for r in range(1, length + 1)
+        )
+        raise RuntimeError(
+            f"moment order k={k_max} exceeds {MOMENT_K_MAX}: the table holds Q_4..Q_{MOMENT_K_MAX}, and "
+            f"building Q_4..Q_{k_max} walks the {walked} irreducible paths of lengths 4..{k_max}, "
+            f"a count bounded by the Bell numbers and growing nearly as fast"
+        )
     rows = _moment_numerators(Fraction(alpha), Fraction(gamma), k_max)
     beta = tuple(b / den for b, _d, den in rows)
     d = tuple(d / den for _b, d, den in rows)

@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FilePath
@@ -145,19 +146,6 @@ def correlation_matrix(data: np.ndarray) -> np.ndarray:
     return gram
 
 
-def eigenvalues_sym(matrix: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of a symmetric matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, atol=1e-10 * max(1.0, np.abs(matrix).max())):
-        raise ValueError("matrix is not symmetric")
-    try:
-        return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ArithmeticError(f"eigensolver failed on {matrix.shape} matrix: {exc}") from exc
-
-
 def trace_moments(corr: np.ndarray, k_max: int) -> np.ndarray:
     """m_k = tr(R^k) / p for k = 1..k_max, without the spectrum.
 
@@ -237,6 +225,10 @@ class SimConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.hist is not None:
+            bins, lo, hi = self.hist
+            if bins < 1 or not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"hist needs BINS >= 1 and finite LO < HI, got {bins}:{lo}:{hi}")
 
     @property
     def needs_spectrum(self) -> bool:
@@ -271,7 +263,6 @@ def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
     del data
     eigenvalues = None
     if config.needs_spectrum:
-        # R is exactly symmetric by construction, so eigenvalues_sym's check is skipped
         try:
             eigenvalues = np.linalg.eigvalsh(corr)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from heavymp import cli as cli_module
-from heavymp import simulation
+from heavymp import moments, simulation
 from heavymp.cli import cli, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -269,6 +269,73 @@ def test_main_exit_codes(tmp_path):
     assert main(["delta", "--i", "1,2", "--t", "1,1,1"]) == 1
     assert main(["contributing", "--i", "1,2,3"]) == 1  # reducible input
     assert main(["nonexistent"]) == 1
+
+
+def _no_replicate(monkeypatch):
+    def refuse(config, replicate):
+        raise AssertionError("a replicate ran before the arguments were checked")
+
+    monkeypatch.setattr(simulation, "run_replicate", refuse)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["moments", "--alpha", "1", "--gamma", "nan"], "gamma must be finite and positive"),
+        (["moments", "--alpha", "1", "--gamma", "inf"], "gamma must be finite and positive"),
+        (["moments", "--alpha", "1", "--gamma", "-1"], "gamma must be finite and positive"),
+        (["moments", "--alpha", "2", "--gamma", "0.2"], "alpha must lie in the open interval (0, 2)"),
+        (["boundary", "--gamma", "inf"], "gamma must be finite and positive"),
+        (["paths", "--k", "4", "--r", "9"], "r must satisfy 1 <= r <= k=4, got 9"),
+        (["delta", "--i", "1,2", "--t", "1,1,1"], "length mismatch"),
+        (["contributing", "--i", "1,2,3"], "reducible"),
+    ],
+)
+def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, message):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["compare", "--alpha", "1", "--gamma", "inf"], "gamma must be finite and positive"),
+        (["compare", "--alpha", "1", "--gamma", "nan"], "gamma must be finite and positive"),
+        (["compare", "--alpha", "1", "--p", "0"], "gamma must be finite and positive"),
+        (["compare", "--alpha", "3", "--dist", "gaussian"], "alpha must lie in the open interval"),
+        (["compare", "--alpha", "1", "--n", "0"], "--n"),
+        (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
+          "--hist", "10:0:inf"], "hist needs BINS >= 1 and finite LO < HI"),
+        (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
+          "--hist", "10:nan:5"], "hist needs BINS >= 1 and finite LO < HI"),
+        (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
+          "--hist", "0:0:5"], "hist needs BINS >= 1 and finite LO < HI"),
+        (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
+          "--hist", "10:0"], "--hist must be BINS:LO:HI"),
+        (["simulate", "--dist", "t", "--p", "20", "--n", "60"], "t sampling needs alpha in (0, 2)"),
+    ],
+)
+def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(
+    tmp_path, monkeypatch, capsys, args, message
+):
+    _no_replicate(monkeypatch)
+    if args[0] == "simulate":
+        args = [*args, "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_gaussian_column_is_the_marchenko_pastur_moment():
+    result = run("compare", "--alpha", "1", "--dist", "gaussian", "--p", "30", "--n", "90",
+                 "--kmax", "6", "--replicates", "3", "--seed", "2", "--z-threshold", "1e9")
+    assert result.exit_code == 0, result.output
+    exact = [float(line.split(",")[1]) for line in result.output.splitlines()[1:]]
+    assert exact == [moments.mp_moment(30 / 90, k) for k in range(1, 7)]
 
 
 def test_compare_over_threshold_exits_2_through_main():

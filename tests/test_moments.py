@@ -608,6 +608,21 @@ def test_heavy_moment_argument_errors():
         heavy_mp_moment(1.0, -1.0, 4)
     with pytest.raises(RuntimeError, match="Bell"):
         heavy_mp_moment(1.0, 0.2, 15)
+    for gamma in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            heavy_mp_moment(1.0, gamma, 4)
+
+
+def test_moment_table_holds_the_one_argument_check():
+    with pytest.raises(RuntimeError) as from_moment:
+        heavy_mp_moment(1.0, 0.2, 15)
+    with pytest.raises(RuntimeError) as from_table:
+        moment_table(1.0, 0.2, 15)
+    assert str(from_table.value) == str(from_moment.value)
+    assert "the 15257811 irreducible paths" in str(from_table.value)
+    for call in (heavy_mp_moment, heavy_tail_gap, moment_table):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            call(1.0, 0.2, 0)
 
 
 def test_moment_table():

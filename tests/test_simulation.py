@@ -12,7 +12,6 @@ from heavymp.simulation import (
     _pareto,
     _student_t,
     correlation_matrix,
-    eigenvalues_sym,
     empirical_moments,
     esd_histogram,
     run_experiment,
@@ -211,7 +210,7 @@ def test_trace_moments_match_spectrum(p, n):
 
 def test_eigenvalues_kept_exactly_when_needed():
     base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=3)
-    spectrum = eigenvalues_sym(correlation_matrix(sample_matrix(20, 60, "t", seed=3, alpha=1.0)))
+    spectrum = np.linalg.eigvalsh(correlation_matrix(sample_matrix(20, 60, "t", seed=3, alpha=1.0)))
     trace_only = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
     assert trace_only.eigenvalues is None
     for extra in (
@@ -245,30 +244,6 @@ def test_correlation_matrix_p1():
 def test_correlation_matrix_zero_row():
     with pytest.raises(ValueError, match="row 1"):
         correlation_matrix(np.array([[1.0, 2.0], [0.0, 0.0]]))
-
-
-def test_eigenvalues_identity():
-    assert np.allclose(eigenvalues_sym(np.eye(7)), 1.0)
-
-
-def test_eigenvalues_2x2_closed_form():
-    rho = 0.3
-    vals = eigenvalues_sym(np.array([[1.0, rho], [rho, 1.0]]))
-    assert np.allclose(vals, [1 - rho, 1 + rho])
-
-
-def test_eigenvalues_trace_identities():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((50, 50))
-    sym = (a + a.T) / 2
-    vals = eigenvalues_sym(sym)
-    assert np.trace(sym) == pytest.approx(vals.sum(), rel=1e-8, abs=1e-8)
-    assert np.sum(sym**2) == pytest.approx(np.sum(vals**2), rel=1e-8)
-
-
-def test_eigenvalues_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        eigenvalues_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_empirical_moments_basic():
@@ -461,6 +436,10 @@ def test_sim_config_validation():
         SimConfig(p=5, n=5, dist="t", alpha=None, k_max=2, replicates=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=0, replicates=1, seed=0)
+    for hist in ((0, 0.0, 5.0), (10, 5.0, 5.0), (10, 0.0, float("inf")),
+                 (10, float("-inf"), 5.0), (10, float("nan"), 5.0)):
+        with pytest.raises(ValueError, match="hist"):
+            SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0, hist=hist)
 
 
 def test_gaussian_fourth_moment_decays():
