@@ -17,7 +17,7 @@ import argparse
 from collections import Counter
 from fractions import Fraction
 
-from heavymp.moments import _core_polynomial
+from heavymp.delta_graphs import _core_polynomial
 from heavymp.paths import irreducible_classes
 
 HEADER = '''"""Q_l(a, gamma) for l = 4..{top}, generated by scripts/build_qtable.py; do not edit.

@@ -17,7 +17,17 @@ from heavymp.moments import (
     mp_moment,
     mp_moment_exact,
 )
-from heavymp.paths import PSResult, PathClass, canonicalize, classify, shorten
+
+# moments and simulation run nothing from heavymp.paths, so its names load it on first use
+_PATH_NAMES = {"PSResult", "PathClass", "canonicalize", "classify", "shorten"}
+
+
+def __getattr__(name: str) -> object:
+    if name in _PATH_NAMES:
+        from heavymp import paths
+
+        return getattr(paths, name)
+    raise AttributeError(f"module 'heavymp' has no attribute {name!r}")
 
 __all__ = [
     "bell",

@@ -4,47 +4,43 @@ boundary, simulate and compare subcommands with CSV/JSON output.
 Exit codes: 0 success, 1 a rejected argument, 2 numeric failure, 3 I/O error.
 The engines check their own arguments: ``main`` maps the ValueError of a
 rejected argument to 1, an ArithmeticError to 2 and an OSError to 3, so the
-CLI repeats none of their checks.  All commands are deterministic given their
-flags (and seed).
+CLI repeats none of their checks.  The parser raises its usage errors as
+ValueErrors too, so they exit 1, not with argparse's 2.  All commands are
+deterministic given their flags (and seed).
 
-Only ``simulate`` and ``compare`` import the Monte Carlo engine, and with it
-numpy, so the exact subcommands start without them.  The names the CLI and
-the engine share, ``DISTRIBUTIONS`` and ``_fmt``, live here for that reason.
+The parser is built once, at import, on the standard library's argparse, so
+a call only parses.  Only ``simulate`` and ``compare`` import the Monte Carlo
+engine, and with it numpy; only ``paths``, ``delta`` and ``contributing``
+import ``heavymp.paths``, the last two through ``delta_graphs``.  ``moments``
+loads none of them.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path as FilePath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NoReturn
 
-import click
-
-from heavymp import combinatorics, delta_graphs, moments, paths
+from heavymp import combinatorics, moments
+from heavymp._common import DISTRIBUTIONS, _fmt
 
 if TYPE_CHECKING:
-    from heavymp import simulation
-
-DISTRIBUTIONS = ("t", "pareto", "gaussian")
+    from heavymp import paths, simulation
 
 # cgroup v2's CPU limit, "<quota> <period>" in microseconds or "max <period>"
 _CPU_MAX = FilePath("/sys/fs/cgroup/cpu.max")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_path(text: str, flag: str) -> paths.Path:
     try:
         values = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise click.UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
     if not values or any(v < 1 for v in values):
-        raise click.UsageError(f"{flag} must be positive integers, got {text!r}")
+        raise ValueError(f"{flag} must be positive integers, got {text!r}")
     return values
 
 
@@ -77,28 +73,16 @@ def _run_experiment(threads: int | None, **fields) -> simulation.ExperimentRepor
 
     config = simulation.SimConfig(threads=1 if threads is None else threads, **fields)
     if threads is None and not config.needs_spectrum:
-        config = replace(config, threads=min(_usable_cores(), config.replicates))
+        config = simulation.SimConfig(threads=min(_usable_cores(), config.replicates), **fields)
     return simulation.run_experiment(config)
 
 
-_threads_option = click.option(
-    "--threads", type=int, default=None, show_default="usable cores up to --replicates; 1 for a spectrum run"
-)
-
-
-@click.group()
-def cli() -> None:
-    """Exact and Monte Carlo spectral moments for heavy-tailed correlation matrices."""
-
-
-@cli.command()
-@click.option("--kmax", type=click.IntRange(1, combinatorics.K_MAX), default=8, show_default=True)
 def counts(kmax: int) -> None:
     """Partition/path counting table as CSV: k,r,B,B2,norun,C0,M."""
-    click.echo("k,r,B,B2,norun,C0,M")
+    print("k,r,B,B2,norun,C0,M")
     for k in range(1, kmax + 1):
         for r in range(1, k + 1):
-            click.echo(
+            print(
                 f"{k},{r},{combinatorics.stirling2(k, r)},"
                 f"{combinatorics.stirling2_assoc(k, r)},"
                 f"{combinatorics.count_norun_paths(k, r)},"
@@ -107,63 +91,52 @@ def counts(kmax: int) -> None:
             )
 
 
-@cli.command(name="paths")
-@click.option("--k", "k", type=click.IntRange(1, combinatorics.K_MAX), required=True)
-@click.option("--r", "r", type=int, required=True)
-@click.option("--class", "path_class", type=click.Choice(["c0", "c1", "c2"]), default=None)
 def paths_cmd(k: int, r: int, path_class: str | None) -> None:
     """Print canonical r-paths of length k, one per line, comma-separated."""
+    from heavymp import paths
+
     if path_class is None:
         stream = paths.enumerate_canonical_paths(k, r)
     else:
         stream = paths.enumerate_class(k, r, paths.PathClass(path_class))
     for path in stream:
-        click.echo(",".join(map(str, path)))
+        print(",".join(map(str, path)))
 
 
-@cli.command()
-@click.option("--i", "i_text", required=True, help="Row path, e.g. 1,2,1,2")
-@click.option("--t", "t_text", required=True, help="Column path, e.g. 1,1,1,1")
 def delta(i_text: str, t_text: str) -> None:
     """Edge degrees and tree/parity flags of the bipartite path graph."""
+    from heavymp import delta_graphs
+
     i_path = _parse_path(i_text, "--i")
     t_path = _parse_path(t_text, "--t")
     graph = delta_graphs.build_delta(i_path, t_path)
-    click.echo("i,t,degree")
+    print("i,t,degree")
     for (i, t), d in graph.edge_degrees:
-        click.echo(f"{i},{t},{d}")
-    click.echo(f"# edges={graph.n_edges}")
-    click.echo(f"# even={delta_graphs.is_even(graph)}")
-    click.echo(f"# tree={delta_graphs.is_tree_skeleton(graph)}")
+        print(f"{i},{t},{d}")
+    print(f"# edges={graph.n_edges}")
+    print(f"# even={delta_graphs.is_even(graph)}")
+    print(f"# tree={delta_graphs.is_tree_skeleton(graph)}")
 
 
-@cli.command()
-@click.option("--i", "i_text", required=True, help="Irreducible canonical path, e.g. 1,2,1,2")
-@click.option("--mode", type=click.Choice(["refine", "brute"]), default="refine", show_default=True)
 def contributing(i_text: str, mode: str) -> None:
     """Contributing column-path levels and the stopping level t*."""
+    from heavymp import delta_graphs
+
     i_path = _parse_path(i_text, "--i")
     sets = delta_graphs.contributing_sets(i_path, mode=mode)
     for s, level in enumerate(sets.levels, start=1):
         for t_path in level:
-            click.echo(f"{s}:{','.join(map(str, t_path))}")
-    click.echo(f"# t_star={sets.t_star}")
+            print(f"{s}:{','.join(map(str, t_path))}")
+    print(f"# t_star={sets.t_star}")
 
 
-@cli.command(name="moments")
-@click.option("--alpha", type=float, required=True)
-@click.option("--gamma", type=float, required=True)
-@click.option("--kmax", type=click.IntRange(1, moments.MOMENT_K_MAX), default=6, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
     """Exact limiting moments: k, beta_k, d_k, mu_k."""
     table = moments.moment_table(alpha, gamma, kmax)
     if fmt == "csv":
-        click.echo("k,beta_k,d_k,mu_k")
+        print("k,beta_k,d_k,mu_k")
         for k in range(1, kmax + 1):
-            click.echo(
-                f"{k},{_fmt(table.beta[k - 1])},{_fmt(table.d[k - 1])},{_fmt(table.mu[k - 1])}"
-            )
+            print(f"{k},{_fmt(table.beta[k - 1])},{_fmt(table.d[k - 1])},{_fmt(table.mu[k - 1])}")
     else:
         payload = {
             "alpha": alpha,
@@ -173,21 +146,18 @@ def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
             "d": [float(_fmt(d)) for d in table.d],
             "mu": [float(_fmt(m)) for m in table.mu],
         }
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
 
 
-@cli.command()
-@click.option("--gamma", type=float, required=True)
-@click.option("--kmax", type=click.IntRange(1, combinatorics.K_MAX), default=6, show_default=True)
 def boundary(gamma: float, kmax: int) -> None:
     """Small-tail-index boundary law: pmf and moments."""
     law = moments.boundary_modified_poisson(gamma)
-    click.echo("j,pmf")
+    print("j,pmf")
     for j in law.support(tail_tol=1e-12):
-        click.echo(f"{j},{_fmt(law.pmf(j))}")
-    click.echo("k,moment")
+        print(f"{j},{_fmt(law.pmf(j))}")
+    print("k,moment")
     for k in range(1, kmax + 1):
-        click.echo(f"{k},{_fmt(law.moment(k))}")
+        print(f"{k},{_fmt(law.moment(k))}")
 
 
 def _parse_hist(text: str) -> tuple[int, float, float]:
@@ -195,21 +165,9 @@ def _parse_hist(text: str) -> tuple[int, float, float]:
         bins, lo, hi = text.split(":")
         return int(bins), float(lo), float(hi)
     except ValueError:
-        raise click.UsageError(f"--hist must be BINS:LO:HI, got {text!r}")
+        raise ValueError(f"--hist must be BINS:LO:HI, got {text!r}") from None
 
 
-@cli.command()
-@click.option("--p", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--dist", type=click.Choice(list(DISTRIBUTIONS)), required=True)
-@click.option("--alpha", type=float, default=None)
-@click.option("--k", "k_max", type=int, default=5, show_default=True)
-@click.option("--replicates", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(path_type=FilePath), required=True)
-@_threads_option
-@click.option("--hist", "hist_text", default=None, help="BINS:LO:HI pooled ESD histogram")
-@click.option("--save-eigenvalues", is_flag=True, default=False)
 def simulate(
     p: int,
     n: int,
@@ -230,24 +188,10 @@ def simulate(
         out_dir=out, hist=hist, save_eigenvalues=save_eigenvalues,
     )
     for path in report.written:
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
 
 
-@cli.command()
-@click.option("--alpha", type=float, required=True, help="Tail index of the exact target")
-@click.option("--gamma", type=float, default=None, help="Defaults to p/n")
-@click.option("--kmax", type=click.IntRange(1, moments.MOMENT_K_MAX), default=5, show_default=True)
-@click.option("--p", type=int, default=500, show_default=True)
-@click.option("--n", type=click.IntRange(min=1), default=2500, show_default=True)
-@click.option("--dist", type=click.Choice(list(DISTRIBUTIONS)), default="t", show_default=True)
-@click.option("--replicates", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_threads_option
-@click.option("--z-threshold", type=float, default=4.0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.pass_context
 def compare(
-    ctx: click.Context,
     alpha: float,
     gamma: float | None,
     kmax: int,
@@ -259,7 +203,7 @@ def compare(
     threads: int | None,
     z_threshold: float,
     fmt: str,
-) -> None:
+) -> int:
     """Exact moments vs Monte Carlo means; exits non-zero if any |z| is large.
 
     Gaussian data are compared against the classical moments; heavy-tailed
@@ -281,11 +225,11 @@ def compare(
         worst = max(worst, abs(z))
         rows.append((k, exact[k - 1], mean, se, z))
     if fmt == "csv":
-        click.echo("k,mu_exact,m_mean,stderr,z")
+        print("k,mu_exact,m_mean,stderr,z")
         for k, mu, mean, se, z in rows:
-            click.echo(f"{k},{_fmt(mu)},{_fmt(mean)},{_fmt(se)},{_fmt(z)}")
+            print(f"{k},{_fmt(mu)},{_fmt(mean)},{_fmt(se)},{_fmt(z)}")
     else:
-        click.echo(
+        print(
             json.dumps(
                 [
                     {"k": k, "mu_exact": float(_fmt(mu)), "m_mean": float(_fmt(mean)),
@@ -295,30 +239,127 @@ def compare(
                 indent=2,
             )
         )
-    if worst > z_threshold:
-        ctx.exit(2)
+    return 2 if worst > z_threshold else 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ValueErrors, for ``main`` to map."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
+def _int_range(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """Argument type of an int in [lo, hi], or at least lo without hi."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value"
+    return parse
+
+
+_DEFAULT = " (default: %(default)s)"
+_THREADS_HELP = "replicate threads (default: usable cores up to --replicates; 1 for a spectrum run)"
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="heavymp",
+        description="Exact and Monte Carlo spectral moments for heavy-tailed correlation matrices.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run: Callable[..., int | None]) -> Callable[..., object]:
+        """Add the subcommand ``name`` that calls ``run``; return its add_argument."""
+        doc = run.__doc__
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    k_cap, moment_cap = combinatorics.K_MAX, moments.MOMENT_K_MAX
+    add = command("counts", counts)
+    add("--kmax", type=_int_range(1, k_cap), default=8, help=f"largest k, 1 to {k_cap}" + _DEFAULT)
+
+    add = command("paths", paths_cmd)
+    add("--k", type=_int_range(1, k_cap), required=True, help=f"path length, 1 to {k_cap}")
+    add("--r", type=int, required=True, help="number of distinct labels, 1 to k")
+    add("--class", dest="path_class", choices=["c0", "c1", "c2"], default=None,
+        help="only the paths of this class")
+
+    add = command("delta", delta)
+    add("--i", dest="i_text", required=True, help="Row path, e.g. 1,2,1,2")
+    add("--t", dest="t_text", required=True, help="Column path, e.g. 1,1,1,1")
+
+    add = command("contributing", contributing)
+    add("--i", dest="i_text", required=True, help="Irreducible canonical path, e.g. 1,2,1,2")
+    add("--mode", choices=["refine", "brute"], default="refine", help="generator" + _DEFAULT)
+
+    add = command("moments", moments_cmd)
+    add("--alpha", type=float, required=True, help="tail index in (0, 2)")
+    add("--gamma", type=float, required=True, help="ratio p/n, finite and positive")
+    add("--kmax", type=_int_range(1, moment_cap), default=6,
+        help=f"largest k, 1 to {moment_cap}" + _DEFAULT)
+    add("--format", dest="fmt", choices=["csv", "json"], default="csv", help="output" + _DEFAULT)
+
+    add = command("boundary", boundary)
+    add("--gamma", type=float, required=True, help="ratio p/n, finite and positive")
+    add("--kmax", type=_int_range(1, k_cap), default=6, help=f"largest order, 1 to {k_cap}" + _DEFAULT)
+
+    add = command("simulate", simulate)
+    add("--p", type=int, required=True, help="rows")
+    add("--n", type=int, required=True, help="columns")
+    add("--dist", choices=DISTRIBUTIONS, required=True, help="entry distribution")
+    add("--alpha", type=float, default=None, help="tail index in (0, 2), for t and pareto")
+    add("--k", dest="k_max", type=int, default=5, help="largest moment order" + _DEFAULT)
+    add("--replicates", type=int, default=50, help="replicates" + _DEFAULT)
+    add("--seed", type=int, default=0, help="master seed" + _DEFAULT)
+    add("--out", type=FilePath, required=True, help="output directory")
+    add("--threads", type=int, default=None, help=_THREADS_HELP)
+    add("--hist", dest="hist_text", default=None, help="BINS:LO:HI pooled ESD histogram")
+    add("--save-eigenvalues", action="store_true", help="write each replicate's spectrum")
+
+    add = command("compare", compare)
+    add("--alpha", type=float, required=True, help="Tail index of the exact target")
+    add("--gamma", type=float, default=None, help="Defaults to p/n")
+    add("--kmax", type=_int_range(1, moment_cap), default=5,
+        help=f"largest k, 1 to {moment_cap}" + _DEFAULT)
+    add("--p", type=int, default=500, help="rows" + _DEFAULT)
+    add("--n", type=_int_range(1), default=2500, help="columns, at least 1" + _DEFAULT)
+    add("--dist", choices=DISTRIBUTIONS, default="t", help="entry distribution" + _DEFAULT)
+    add("--replicates", type=int, default=50, help="replicates" + _DEFAULT)
+    add("--seed", type=int, default=0, help="master seed" + _DEFAULT)
+    add("--threads", type=int, default=None, help=_THREADS_HELP)
+    add("--z-threshold", type=float, default=4.0, help="largest |z| that passes" + _DEFAULT)
+    add("--format", dest="fmt", choices=["csv", "json"], default="csv", help="output" + _DEFAULT)
+    return parser
+
+
+PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        # without standalone mode, click returns the code of a ctx.exit(code)
-        code = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:  # BadParameter included
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.Abort:
+        args = vars(PARSER.parse_args(argv))
+        return args.pop("run")(**args) or 0
+    except SystemExit as exc:  # --help
+        return exc.code
+    except KeyboardInterrupt:
         return 1
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
-        click.echo(f"numeric error: {exc}", err=True)
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    return code or 0
 
 
 if __name__ == "__main__":

@@ -114,6 +114,13 @@ def count_irreducible(k: int, r: int) -> int:
     return _irreducible_row(k)[r - 1]
 
 
+def _times_shifts(poly: list[int], m: int) -> list[int]:
+    """poly(a) Gamma(m - a) / Gamma(1 - a) = poly(a) prod_{j=1}^{m-1} (j - a), ascending in a."""
+    for j in range(1, m):
+        poly = [j * c - lower for c, lower in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 @lru_cache(maxsize=None)
 def _irreducible_row(k: int) -> tuple[int, ...]:
     """M(k, 1..k), indexed by r - 1."""

@@ -7,19 +7,22 @@ integer degree.  Only pairs whose edge degrees are all even and whose
 skeleton (parallel edges glued) is a tree contribute at leading order.  The
 levels C_s(I) of such column paths with s distinct labels are generated as
 the closed walks i_1 t_1 i_2 t_2 ... i_k t_k i_1 that never close a cycle.
+Summed over these pairs, a core I gives its limit polynomial P_I
+(``_core_polynomial``), from which scripts/build_qtable.py builds the table
+that ``heavymp.moments`` reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterator
+from fractions import Fraction
+from math import factorial, prod
+from typing import Collection, Iterator, NamedTuple
 
-from heavymp.combinatorics import K_MAX
+from heavymp.combinatorics import K_MAX, _times_shifts
 from heavymp.paths import Path, enumerate_canonical_paths, is_canonical, shorten
 
 
-@dataclass(frozen=True)
-class DeltaGraph:
+class DeltaGraph(NamedTuple):
     """Edge degrees of the bipartite multigraph for a path pair (I, T)."""
 
     edge_degrees: tuple[tuple[tuple[int, int], int], ...]  # ((i, t), degree)
@@ -97,8 +100,7 @@ def is_tree_skeleton(graph: DeltaGraph) -> bool:
     return _is_tree(graph.degrees, n_vertices)
 
 
-@dataclass(frozen=True)
-class ContributingSets:
+class ContributingSets(NamedTuple):
     """Levels C_1(I), C_2(I), ... of contributing column paths, and t*."""
 
     i_path: Path
@@ -200,3 +202,26 @@ def contributing_sets(
             break
         levels.append(level)
     return ContributingSets(i_path, tuple(levels))
+
+
+def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
+    """P_I, ascending in a = alpha/2: for an irreducible canonical r-path I,
+    p^(r-1) F(I) tends to gamma^(r-1) P_I(a).
+
+    A contributing pair's skeleton is a tree with r + s - 1 edges, so the
+    Gamma(1 - a) powers of the limit cancel; the pair adds a^(s-1)
+    prod_i (deg_i - 1)!/(c_i - 1)! prod_e prod_{j=1}^{m_e-1} (j - a), where 2 m_e
+    is the degree of edge e and c_i the multiplicity of label i.
+    """
+    labels = range(1, max(i_path) + 1)
+    multiplicities = prod(factorial(i_path.count(i) - 1) for i in labels)
+    total = [Fraction(0)] * len(i_path)
+    for s, t_path in contributing_sets(i_path).all_pairs():
+        graph = build_delta(i_path, t_path)
+        weight = Fraction(prod(factorial(graph.i_degree(i) - 1) for i in labels), multiplicities)
+        poly = [0] * (s - 1) + [1]
+        for _edge, degree in graph.edge_degrees:
+            poly = _times_shifts(poly, degree // 2)
+        for i, c in enumerate(poly):
+            total[i] += weight * c
+    return tuple(total)

@@ -23,16 +23,13 @@ rounded once by an integer division: a cold k = 14 table takes under 2 ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from math import comb, factorial
+from typing import Iterable, NamedTuple, Sequence
 
 from heavymp import _qtable
-from heavymp.combinatorics import count_c0, count_irreducible, stirling2
-from heavymp.delta_graphs import build_delta, contributing_sets
-from heavymp.paths import Path
+from heavymp.combinatorics import _times_shifts, count_c0, count_irreducible, stirling2
 
 # int, Fraction or str; a float is taken at its exact binary value, so pass a
 # str or Fraction for decimal-exact gammas
@@ -71,13 +68,6 @@ def mp_moment(gamma: float, k: int) -> float:
     return float(mp_moment_exact(gamma, k))
 
 
-def _times_shifts(poly: list[int], m: int) -> list[int]:
-    """poly(a) Gamma(m - a) / Gamma(1 - a) = poly(a) prod_{j=1}^{m-1} (j - a), ascending in a."""
-    for j in range(1, m):
-        poly = [j * c - lower for c, lower in zip(poly + [0], [0] + poly)]
-    return poly
-
-
 def self_normalized_moment_limit(k_parts: Sequence[int], alpha: float) -> float:
     """Limit of C(n, r) E[Y_11^(2k_1) ... Y_1r^(2k_r)] for row-normalized data.
 
@@ -93,29 +83,6 @@ def self_normalized_moment_limit(k_parts: Sequence[int], alpha: float) -> float:
         poly = _times_shifts(poly, kj)
     a = Fraction(alpha) / 2
     return float(sum(c * a**i for i, c in enumerate(poly)) / (r * factorial(sum(k_parts) - 1)))
-
-
-def _core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
-    """P_I, ascending in a = alpha/2: for an irreducible canonical r-path I,
-    p^(r-1) F(I) tends to gamma^(r-1) P_I(a).
-
-    A contributing pair's skeleton is a tree with r + s - 1 edges, so the
-    Gamma(1 - a) powers of the limit cancel; the pair adds a^(s-1)
-    prod_i (deg_i - 1)!/(c_i - 1)! prod_e prod_{j=1}^{m_e-1} (j - a), where 2 m_e
-    is the degree of edge e and c_i the multiplicity of label i.
-    """
-    labels = range(1, max(i_path) + 1)
-    multiplicities = prod(factorial(i_path.count(i) - 1) for i in labels)
-    total = [Fraction(0)] * len(i_path)
-    for s, t_path in contributing_sets(i_path).all_pairs():
-        graph = build_delta(i_path, t_path)
-        weight = Fraction(prod(factorial(graph.i_degree(i) - 1) for i in labels), multiplicities)
-        poly = [0] * (s - 1) + [1]
-        for _edge, degree in graph.edge_degrees:
-            poly = _times_shifts(poly, degree // 2)
-        for i, c in enumerate(poly):
-            total[i] += weight * c
-    return tuple(total)
 
 
 def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:
@@ -148,7 +115,7 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
 
         d_k = sum_l sum_s C(k, l + 2s) C(l + 2s, s) gamma^s (1 + gamma)^(k-l-2s) Q_l,
 
-    where Q_l sums gamma^(r-1) P_I (``_core_polynomial``) over the
+    where Q_l sums gamma^(r-1) P_I (``delta_graphs._core_polynomial``) over the
     irreducible canonical paths I of length l, a polynomial in alpha/2 and
     gamma read from the committed table.  So d_k depends only on Q_4..Q_k.
     It is evaluated in integers at the binary values of alpha and gamma, as
@@ -222,8 +189,7 @@ def _integer_polynomial(length: int) -> tuple[int, tuple[tuple[int, int, int], .
     return lcm, tuple((i, j, num * (lcm // den)) for i, j, num, den in terms)
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Moments mu_k = beta_k + d_k for k = 1..k_max, each of beta_k, d_k and
     mu_k computed exactly and rounded once."""
 
@@ -257,8 +223,7 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     return MomentTable(alpha, gamma, k_max, beta, d, mu)
 
 
-@dataclass(frozen=True)
-class ModifiedPoisson:
+class ModifiedPoisson(NamedTuple):
     """Limit law of the spectra as the tail index tends to 0.
 
     A Poisson(gamma) with the masses at k >= 1 scaled by 1/gamma and a

@@ -13,9 +13,8 @@ reducible, irreducible or partially reducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from heavymp.combinatorics import K_MAX, _check_range, restricted_growth_strings
 
@@ -53,8 +52,7 @@ def _require_canonical(path: Path) -> None:
         raise ValueError(f"path {path} is not canonical")
 
 
-@dataclass(frozen=True)
-class PSResult:
+class PSResult(NamedTuple):
     """Outcome of path shortening: the irreducible core and removal counters."""
 
     shortened: Path

@@ -26,8 +26,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-# defined in the CLI, which must not import numpy for its exact subcommands
-from heavymp.cli import DISTRIBUTIONS, _fmt
+from heavymp._common import DISTRIBUTIONS, _fmt
 
 # Below this k_max a replicate that needs no spectrum takes its moments from
 # matrix products instead of eigvalsh: at p=1000 on one thread the products

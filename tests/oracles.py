@@ -19,7 +19,8 @@ from typing import Iterator
 
 from heavymp import _qtable
 from heavymp.combinatorics import K_MAX, _check_range, restricted_growth_strings
-from heavymp.moments import _check_alpha, _check_gamma, _core_polynomial
+from heavymp.delta_graphs import _core_polynomial
+from heavymp.moments import _check_alpha, _check_gamma
 from heavymp.paths import Path, canonicalize, enumerate_canonical_paths, is_canonical, shorten
 
 

@@ -12,10 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from heavymp import combinatorics, delta_graphs, moments, paths, simulation
-from heavymp.cli import cli
+from heavymp.cli import main
 import oracles
 
 
@@ -255,10 +254,8 @@ def test_criterion_7_property_suites():
 
 
 def test_criterion_8_determinism_across_threads(tmp_path):
-    runner = CliRunner()
     for threads, name in ((1, "t1"), (4, "t4")):
-        result = runner.invoke(
-            cli,
+        code = main(
             [
                 "simulate", "--p", "50", "--n", "250", "--dist", "t", "--alpha", "1",
                 "--k", "5", "--replicates", "8", "--seed", "314",
@@ -266,7 +263,7 @@ def test_criterion_8_determinism_across_threads(tmp_path):
                 "--hist", "20:0:4", "--save-eigenvalues",
             ],
         )
-        assert result.exit_code == 0, result.output
+        assert code == 0
     files = ["moments.csv", "summary.json", "hist.csv"] + [
         f"eigenvalues_{j}.csv" for j in range(8)
     ]

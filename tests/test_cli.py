@@ -1,21 +1,35 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from heavymp import cli as cli_module
 from heavymp import moments, simulation
-from heavymp.cli import cli, main
+from heavymp.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+    stdout_bytes: bytes
+
+
 def run(*args):
-    return CliRunner().invoke(cli, list(args))
+    """``main(args)`` with its exit code and its stdout as text and as bytes."""
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        code = main(list(args))
+    stdout.flush()
+    return Result(code, buffer.getvalue().decode(), buffer.getvalue())
 
 
 def test_counts_table():
@@ -218,9 +232,10 @@ def test_simulate_default_threads_see_the_cpu_quota(
 
 
 def test_dist_choices_are_the_sampled_distributions():
+    (commands,) = [a for a in cli_module.PARSER._actions if a.metavar == "COMMAND"]
     for command in ("simulate", "compare"):
-        (dist,) = [param for param in cli.commands[command].params if param.name == "dist"]
-        assert tuple(dist.type.choices) == simulation.DISTRIBUTIONS
+        (dist,) = [a for a in commands.choices[command]._actions if a.dest == "dist"]
+        assert tuple(dist.choices) == simulation.DISTRIBUTIONS
 
 
 _NUMPY_FREE_RUN = """
@@ -254,6 +269,30 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
     assert (tmp_path / "sim" / "summary.json").exists()
 
 
+# modules a `heavymp moments` call has no use for, each a cost at start-up
+_COLD_START_RUN = """
+import contextlib, io, sys
+
+unused = {"click", "dataclasses", "inspect", "heavymp.delta_graphs", "heavymp.paths", "numpy",
+          "heavymp.simulation"}
+before = set(sys.modules)
+from heavymp import cli
+
+assert not unused & (set(sys.modules) - before), sorted(unused & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14"]) == 0
+assert not unused & (set(sys.modules) - before), sorted(unused & set(sys.modules))
+"""
+
+
+def test_moments_call_loads_only_what_it_runs():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START_RUN], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def test_compare_small_run():
     result = run(
         "compare", "--alpha", "1", "--p", "60", "--n", "300", "--dist", "t",
@@ -269,6 +308,8 @@ def test_main_exit_codes(tmp_path):
     assert main(["delta", "--i", "1,2", "--t", "1,1,1"]) == 1
     assert main(["contributing", "--i", "1,2,3"]) == 1  # reducible input
     assert main(["nonexistent"]) == 1
+    assert main([]) == 1  # no subcommand
+    assert main(["--help"]) == main(["moments", "--help"]) == 0
 
 
 def _no_replicate(monkeypatch):
@@ -339,7 +380,7 @@ def test_compare_gaussian_column_is_the_marchenko_pastur_moment():
 
 
 def test_compare_over_threshold_exits_2_through_main():
-    # the installed entry point calls main, not CliRunner; worst |z| here is 1.10
+    # the installed entry point calls main and exits with its code; worst |z| here is 1.10
     code = main(
         ["compare", "--alpha", "1", "--p", "40", "--n", "200", "--dist", "pareto",
          "--kmax", "4", "--replicates", "6", "--seed", "3", "--z-threshold", "0.01"]

@@ -28,3 +28,16 @@ def test_every_import_is_used(module):
 
 def test_unused_import_is_caught():
     assert _unused_imports("from a import b, c\nimport d.e\nprint(c)\n") == ["b", "d"]
+
+
+def test_public_names_resolve():
+    import heavymp
+    from heavymp import paths
+
+    namespace = {}
+    exec("from heavymp import *", namespace)
+    for name in heavymp.__all__:
+        assert namespace[name] is getattr(heavymp, name)
+    assert heavymp.shorten is paths.shorten and heavymp.PSResult is paths.PSResult
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heavymp.no_such_name

@@ -13,10 +13,9 @@ import pytest
 
 from heavymp import _qtable
 from heavymp.combinatorics import stirling2
-from heavymp.delta_graphs import build_delta, contributing_sets
+from heavymp.delta_graphs import _core_polynomial, build_delta, contributing_sets
 from heavymp.moments import (
     MOMENT_K_MAX,
-    _core_polynomial,
     _heavy_tail_gap_exact,
     boundary_modified_poisson,
     boundary_moment_alpha0,
@@ -249,7 +248,7 @@ def test_moment_table_walks_no_path(monkeypatch):
         raise AssertionError("moments read Q_l from the table")
 
     for module, name in ((paths, "singleton_free_paths"), (paths, "irreducible_classes"),
-                         (delta_graphs, "contributing_sets"), (moments, "contributing_sets")):
+                         (delta_graphs, "contributing_sets"), (delta_graphs, "_core_polynomial")):
         monkeypatch.setattr(module, name, no_walk)
     moments._integer_polynomial.cache_clear()
     try:
