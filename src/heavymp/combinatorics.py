@@ -14,9 +14,9 @@ from typing import Iterator
 
 #: Default cap on the ground-set size for full enumerations (``heavymp paths
 #: --k``, brute-force contributing sets), which list up to Bell(k) paths, and
-#: for ``heavymp counts``.  Moments do not enumerate: they read Q_4..Q_14 from a committed
-#: table (``moments.MOMENT_K_MAX``), whose rebuild walks the 2,269,035
-#: irreducible paths of lengths 4..14 in about 20 s on a 2-core Xeon VM.
+#: for ``heavymp counts``.  Moments do not enumerate: they read Q_4..Q_18 from a committed
+#: table (``moments.MOMENT_K_MAX``), which scripts/build_qtable.py builds
+#: from a recursion in formal power series without walking a path.
 K_MAX = 12
 
 

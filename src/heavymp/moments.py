@@ -11,13 +11,14 @@ polynomial in alpha and gamma, evaluated exactly and rounded once.
 No path is shortened: the number of paths of each length with a given core
 and number of simple removals is a product of two binomials (see
 ``heavy_tail_gap``), so d_k needs only the polynomials Q_4..Q_k of the
-irreducible paths.  scripts/build_qtable.py builds them once, walking the
-irreducible paths of lengths 4..14 folded into dihedral classes, and writes
-their exact coefficients to ``heavymp._qtable``, which moments read: no
-moment walks a path.  At a point (alpha, gamma), each Q_l becomes one integer
-numerator over a denominator shared by all l, and beta_1..beta_K and
-d_1..d_K come out of one pass in integers (``_moment_numerators``), each
-rounded once by an integer division: a cold k = 14 table takes under 2 ms.
+irreducible paths.  scripts/build_qtable.py builds them once, from a
+fixed-point recursion for the moment series over closed walks on trees, and
+writes their exact coefficients for lengths 4..18 to ``heavymp._qtable``,
+which moments read: no moment walks a path.  At a point (alpha, gamma), each
+Q_l becomes one integer numerator over a denominator shared by all l, and
+beta_1..beta_K and d_1..d_K come out of one pass in integers
+(``_moment_numerators``), each rounded once by an integer division: a cold
+k = 14 table takes under 2 ms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from heavymp import _qtable
-from heavymp.combinatorics import _times_shifts, count_c0, count_irreducible, stirling2
+from heavymp.combinatorics import _times_shifts, count_c0, stirling2
 
 # int, Fraction or str; a float is taken at its exact binary value, so pass a
 # str or Fraction for decimal-exact gammas
@@ -115,9 +116,12 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
 
         d_k = sum_l sum_s C(k, l + 2s) C(l + 2s, s) gamma^s (1 + gamma)^(k-l-2s) Q_l,
 
-    where Q_l sums gamma^(r-1) P_I (``delta_graphs._core_polynomial``) over the
-    irreducible canonical paths I of length l, a polynomial in alpha/2 and
-    gamma read from the committed table.  So d_k depends only on Q_4..Q_k.
+    where Q_l sums gamma^(r-1) P_I over the irreducible canonical paths I of
+    length l, P_I being the limit polynomial in alpha/2 of the contributing
+    column paths of I (``delta_graphs.contributing_sets``).  Q_l is a
+    polynomial in alpha/2 and gamma read from the committed table, which
+    scripts/build_qtable.py peels off d_l length by length: the l = k, s = 0
+    term above is Q_k itself.  So d_k depends only on Q_4..Q_k.
     It is evaluated in integers at the binary values of alpha and gamma, as
     one numerator over a common denominator (``_moment_numerators``), and
     rounded once by a single integer division.
@@ -208,13 +212,9 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
     if k_max > MOMENT_K_MAX:
-        walked = sum(
-            count_irreducible(length, r) for length in range(4, k_max + 1) for r in range(1, length + 1)
-        )
         raise RuntimeError(
-            f"moment order k={k_max} exceeds {MOMENT_K_MAX}: the table holds Q_4..Q_{MOMENT_K_MAX}, and "
-            f"building Q_4..Q_{k_max} walks the {walked} irreducible paths of lengths 4..{k_max}, "
-            f"a count bounded by the Bell numbers and growing nearly as fast"
+            f"moment order k={k_max} exceeds {MOMENT_K_MAX}, the top length of the committed "
+            f"Q_l table; scripts/build_qtable.py --max-length builds a longer one"
         )
     rows = _moment_numerators(Fraction(alpha), Fraction(gamma), k_max)
     beta = tuple(b / den for b, _d, den in rows)

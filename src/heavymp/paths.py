@@ -115,77 +115,3 @@ def enumerate_class(k: int, r: int, path_class: PathClass, k_max: int = K_MAX) -
     for path in enumerate_canonical_paths(k, r, k_max):
         if classify(path) is path_class:
             yield path
-
-
-def singleton_free_paths(k: int, run_free: bool = False) -> Iterator[Path]:
-    """Yield each canonical path of length k in which every label occurs at
-    least twice, in lexicographic order.  With ``run_free``, only the
-    irreducible ones: no entry repeats the one before it, and the last is not
-    1, which would repeat the first.
-
-    A prefix is extended only while it can still be completed: each label seen
-    once needs one more position.
-    """
-    top = k // 2  # largest label allowed
-    count = [0] * (top + 1)
-    path: list[int] = []
-
-    def extend(singles: int, seen: int) -> Iterator[Path]:
-        # singles: labels seen once so far; seen: the largest label so far
-        left = k - len(path) - 1  # positions after the next one
-        prev = path[-1] if run_free and path else 0
-        for v in range(2 if run_free and not left else 1, min(seen + 1, top) + 1):
-            if v == prev:
-                continue
-            c = count[v]
-            s = singles + 1 if c == 0 else singles - 1 if c == 1 else singles
-            if s <= left:
-                path.append(v)
-                if left:
-                    count[v] = c + 1
-                    yield from extend(s, max(seen, v))
-                    count[v] = c
-                else:
-                    yield tuple(path)
-                path.pop()
-
-    yield from extend(0, 0)
-
-
-def irreducible_classes(k: int) -> Iterator[tuple[Path, int]]:
-    """Yield each dihedral class of irreducible canonical paths of length k
-    once, as its smallest canonical form with the number of canonical paths
-    in the class, in lexicographic order.
-
-    A walked path is kept when none of its rotations and reversals
-    canonicalizes smaller, so it is the smallest canonical form of its class.
-    """
-    for path in singleton_free_paths(k, run_free=True):
-        size = _class_size(path)
-        if size:
-            yield path, size
-
-
-def _class_size(path: Path) -> int:
-    """Number of distinct canonical forms among the 2k rotations and
-    reversals of a canonical path, or 0 as soon as one is smaller than it.
-
-    Each form is compared while it is relabelled, up to the first position
-    that differs.  The forms equal to the path make up a subgroup of the
-    2k symmetries, and 2k over its order is the number of distinct forms.
-    """
-    k = len(path)
-    fixed = 0
-    for j in range(k):
-        rotation = path[j:] + path[:j]
-        for form in (rotation, rotation[::-1]):
-            relabel: dict[int, int] = {}
-            for v, w in zip(form, path):
-                label = relabel.setdefault(v, len(relabel) + 1)
-                if label != w:
-                    if label < w:
-                        return 0
-                    break
-            else:
-                fixed += 1
-    return 2 * k // fixed

@@ -1,9 +1,11 @@
 """Reference implementations that only the tests use.
 
-The exact engine reads the Q_l table and walks irreducible classes directly,
-so set partitions, the path/partition bijection, the paper's simple-removal
-sets, the dihedral representative and the per-core limit serve here as
-independent oracles.  The engine sums d_k in integers over one common
+The exact engine reads the Q_l table, which scripts/build_qtable.py builds
+from a recursion over closed walks on trees, so set partitions, the
+path/partition bijection, the paper's simple-removal sets, the dihedral
+representative, the per-core limit and the paper's path walk (singleton-free
+paths, irreducible classes and the polynomials Q_l summed over them) serve
+here as independent oracles.  The engine sums d_k in integers over one common
 denominator, and the per-k ``Fraction`` sum checks it.  The finite-(p, n)
 moment expectations check the Monte Carlo engine against numbers that carry
 no n -> infinity bias.
@@ -11,15 +13,16 @@ no n -> infinity bias.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterator
 
 from heavymp import _qtable
-from heavymp.combinatorics import K_MAX, _check_range, restricted_growth_strings
-from heavymp.delta_graphs import _core_polynomial
+from heavymp.combinatorics import K_MAX, _check_range, _times_shifts, restricted_growth_strings
+from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import _check_alpha, _check_gamma
 from heavymp.paths import Path, canonicalize, enumerate_canonical_paths, is_canonical, shorten
 
@@ -112,13 +115,131 @@ def dihedral_representative(path: Path) -> Path:
     return min(canonicalize(p) for rot in rotations for p in (rot, rot[::-1]))
 
 
+def tree_pair_polynomial(i_path: Path, t_path: Path) -> list[Fraction]:
+    """The limit weight of a pair (I, T) of canonical paths whose closed walk
+    i_1 t_1 ... i_k t_k i_1 stays on a tree, ascending in a = alpha/2.
+
+    A contributing pair's skeleton is a tree with r + s - 1 edges, so the
+    Gamma(1 - a) powers of the limit cancel; the pair adds a^(s-1)
+    prod_i (deg_i - 1)!/(c_i - 1)! prod_e prod_{j=1}^{m_e-1} (j - a), where 2 m_e
+    is the degree of edge e and c_i the multiplicity of label i.
+    """
+    graph = build_delta(i_path, t_path)
+    labels = range(1, max(i_path) + 1)
+    weight = Fraction(
+        prod(factorial(graph.i_degree(i) - 1) for i in labels),
+        prod(factorial(i_path.count(i) - 1) for i in labels),
+    )
+    poly = [0] * (max(t_path) - 1) + [1]
+    for _edge, degree in graph.edge_degrees:
+        poly = _times_shifts(poly, degree // 2)
+    return [weight * c for c in poly]
+
+
+def core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
+    """P_I, ascending in a = alpha/2: for an irreducible canonical r-path I,
+    p^(r-1) F(I) tends to gamma^(r-1) P_I(a), the pair weights summed over
+    the contributing column paths of I."""
+    total = [Fraction(0)] * len(i_path)
+    for _s, t_path in contributing_sets(i_path).all_pairs():
+        for i, c in enumerate(tree_pair_polynomial(i_path, t_path)):
+            total[i] += c
+    return tuple(total)
+
+
+def singleton_free_paths(k: int, run_free: bool = False) -> Iterator[Path]:
+    """Yield each canonical path of length k in which every label occurs at
+    least twice, in lexicographic order.  With ``run_free``, only the
+    irreducible ones: no entry repeats the one before it, and the last is not
+    1, which would repeat the first.
+
+    A prefix is extended only while it can still be completed: each label seen
+    once needs one more position.
+    """
+    top = k // 2  # largest label allowed
+    count = [0] * (top + 1)
+    path: list[int] = []
+
+    def extend(singles: int, seen: int) -> Iterator[Path]:
+        # singles: labels seen once so far; seen: the largest label so far
+        left = k - len(path) - 1  # positions after the next one
+        prev = path[-1] if run_free and path else 0
+        for v in range(2 if run_free and not left else 1, min(seen + 1, top) + 1):
+            if v == prev:
+                continue
+            c = count[v]
+            s = singles + 1 if c == 0 else singles - 1 if c == 1 else singles
+            if s <= left:
+                path.append(v)
+                if left:
+                    count[v] = c + 1
+                    yield from extend(s, max(seen, v))
+                    count[v] = c
+                else:
+                    yield tuple(path)
+                path.pop()
+
+    yield from extend(0, 0)
+
+
+def irreducible_classes(k: int) -> Iterator[tuple[Path, int]]:
+    """Yield each dihedral class of irreducible canonical paths of length k
+    once, as its smallest canonical form with the number of canonical paths
+    in the class, in lexicographic order.
+
+    A walked path is kept when none of its rotations and reversals
+    canonicalizes smaller, so it is the smallest canonical form of its class.
+    """
+    for path in singleton_free_paths(k, run_free=True):
+        size = _class_size(path)
+        if size:
+            yield path, size
+
+
+def _class_size(path: Path) -> int:
+    """Number of distinct canonical forms among the 2k rotations and
+    reversals of a canonical path, or 0 as soon as one is smaller than it.
+
+    Each form is compared while it is relabelled, up to the first position
+    that differs.  The forms equal to the path make up a subgroup of the
+    2k symmetries, and 2k over its order is the number of distinct forms.
+    """
+    k = len(path)
+    fixed = 0
+    for j in range(k):
+        rotation = path[j:] + path[:j]
+        for form in (rotation, rotation[::-1]):
+            relabel: dict[int, int] = {}
+            for v, w in zip(form, path):
+                label = relabel.setdefault(v, len(relabel) + 1)
+                if label != w:
+                    if label < w:
+                        return 0
+                    break
+            else:
+                fixed += 1
+    return 2 * k // fixed
+
+
+def path_walk_polynomial(length: int) -> dict[tuple[int, int], Fraction]:
+    """Q_length by the paper's path walk, {(i, j): coefficient of (alpha/2)^i
+    gamma^j} in sorted order, zeros dropped: gamma^(r - 1) P_I is added once
+    per dihedral class of irreducible paths, weighted by the class size,
+    since rotating or reversing a core leaves its limit unchanged."""
+    poly: Counter[tuple[int, int]] = Counter()
+    for core, size in irreducible_classes(length):
+        for i, c in enumerate(core_polynomial(core)):
+            poly[i, max(core) - 1] += size * c
+    return {key: c for key, c in sorted(poly.items()) if c}
+
+
 def limit_pF(i_path: Path, alpha: float, gamma: float) -> float:
-    """Limit of p^(r-1) F(I) for an irreducible canonical r-path I: the engine's
-    core polynomial evaluated exactly, rounded once."""
+    """Limit of p^(r-1) F(I) for an irreducible canonical r-path I: the core
+    polynomial evaluated exactly, rounded once."""
     _check_alpha(alpha)
     _check_gamma(gamma)
     a = Fraction(alpha) / 2
-    value = sum(c * a**i for i, c in enumerate(_core_polynomial(i_path)))
+    value = sum(c * a**i for i, c in enumerate(core_polynomial(i_path)))
     return float(Fraction(gamma) ** (max(i_path) - 1) * value)
 
 

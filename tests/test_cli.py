@@ -98,7 +98,9 @@ def test_moment_cap_is_the_table_top_and_enumerators_stay_capped():
     payload = json.loads(run("moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14",
                              "--format", "json").output)
     assert payload["mu"][13] == 12138.448302765602
-    assert main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "15"]) == 1
+    top = str(moments.MOMENT_K_MAX)
+    assert main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", top]) == 0
+    assert main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", str(moments.MOMENT_K_MAX + 1)]) == 1
     assert main(["paths", "--k", "13", "--r", "2"]) == 1
     assert main(["counts", "--kmax", "13"]) == 1
 

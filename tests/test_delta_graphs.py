@@ -7,6 +7,7 @@ from heavymp.delta_graphs import (
     is_tree_skeleton,
 )
 from heavymp.paths import PathClass, enumerate_class
+from oracles import irreducible_classes
 
 
 def test_build_delta_single_t_vertex():
@@ -73,8 +74,6 @@ def test_walk_matches_brute_force_up_to_length_8():
 
 
 def _census_classes():
-    from heavymp.paths import irreducible_classes
-
     cores = [core for m in range(4, 11) for core, _size in irreducible_classes(m)]
     return [contributing_sets(core) for core in sorted(cores)]
 

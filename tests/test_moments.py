@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from heavymp import _qtable
 from heavymp.combinatorics import stirling2
-from heavymp.delta_graphs import _core_polynomial, build_delta, contributing_sets
+from heavymp.delta_graphs import _tree_walks, build_delta, contributing_sets
 from heavymp.moments import (
     MOMENT_K_MAX,
     _heavy_tail_gap_exact,
@@ -27,10 +29,15 @@ from heavymp.moments import (
     self_normalized_moment_limit,
 )
 from oracles import (
+    core_polynomial,
     dihedral_representative,
     heavy_tail_gap_fractions,
+    irreducible_classes,
     irreducible_polynomial,
     limit_pF,
+    path_walk_polynomial,
+    singleton_free_paths,
+    tree_pair_polynomial,
 )
 
 
@@ -222,10 +229,14 @@ def build():
     return module
 
 
-def test_build_walks_each_irreducible_path_once(build, monkeypatch):
-    from heavymp import paths
+@pytest.fixture(scope="module")
+def built(build):
+    """The builder's mu_0..mu_11 and Q_4..Q_11."""
+    return build.moment_polynomials(11), build.irreducible_polynomials(11)
 
-    walk = paths.singleton_free_paths
+
+def test_path_walk_visits_each_irreducible_path_once(monkeypatch):
+    walk = oracles.singleton_free_paths
     walked = []
 
     def counting_walk(*args, **kwargs):
@@ -233,22 +244,23 @@ def test_build_walks_each_irreducible_path_once(build, monkeypatch):
             walked.append(path)
             yield path
 
-    monkeypatch.setattr(paths, "singleton_free_paths", counting_walk)
+    monkeypatch.setattr(oracles, "singleton_free_paths", counting_walk)
     for length in range(4, 11):
-        build.build_irreducible_polynomial(length)
+        path_walk_polynomial(length)
     # irreducible paths of lengths 4..10: 1 + 0 + 5 + 14 + 66 + 307 + 1554, where
     # the path census shortened the 22,080 singleton-free paths of those lengths
     assert len(walked) == len(set(walked)) == 1_947
 
 
 def test_moment_table_walks_no_path(monkeypatch):
-    from heavymp import delta_graphs, moments, paths
+    from heavymp import delta_graphs, moments
 
     def no_walk(*args, **kwargs):
         raise AssertionError("moments read Q_l from the table")
 
-    for module, name in ((paths, "singleton_free_paths"), (paths, "irreducible_classes"),
-                         (delta_graphs, "contributing_sets"), (delta_graphs, "_core_polynomial")):
+    for module, name in ((oracles, "singleton_free_paths"), (oracles, "irreducible_classes"),
+                         (oracles, "core_polynomial"), (delta_graphs, "contributing_sets"),
+                         (delta_graphs, "_tree_walks")):
         monkeypatch.setattr(module, name, no_walk)
     moments._integer_polynomial.cache_clear()
     try:
@@ -258,13 +270,50 @@ def test_moment_table_walks_no_path(monkeypatch):
     assert table.mu[-1] == heavy_mp_moment(1.0, 0.2, MOMENT_K_MAX)
 
 
-def test_table_matches_a_rebuild(build):
-    assert MOMENT_K_MAX == max(_qtable.Q) == 14
-    assert sorted(_qtable.Q) == list(range(4, 15))
+def test_table_matches_a_rebuild(built):
+    assert MOMENT_K_MAX == max(_qtable.Q) == 18
+    assert sorted(_qtable.Q) == list(range(4, 19))
+    _mu, table = built
+    assert sorted(table) == list(range(4, 12))
+    for length, poly in table.items():
+        assert poly == dict(irreducible_polynomial(length))
+        assert "".join(f"{i} {j} {c}\n" for (i, j), c in poly.items()) == _qtable.Q[length]
+
+
+def test_path_walk_matches_the_recursion_and_the_table(built):
+    _mu, table = built
     for length in range(4, 12):
-        built = build.build_irreducible_polynomial(length)
-        assert built == dict(irreducible_polynomial(length))
-        assert "".join(f"{i} {j} {c}\n" for (i, j), c in built.items()) == _qtable.Q[length]
+        assert path_walk_polynomial(length) == table[length] == dict(irreducible_polynomial(length))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("HEAVYMP_FULL_SCALE"),
+    reason="the path walk visits 12,988,776 paths of length 15 in about 5 min; set HEAVYMP_FULL_SCALE=1",
+)
+def test_path_walk_matches_the_table_at_length15():
+    assert path_walk_polynomial(15) == dict(irreducible_polynomial(15))
+
+
+def test_recursion_equals_the_tree_pair_sum(built):
+    # mu_k sums gamma^(r-1) times the pair weight over every canonical pair
+    # (I, T) of length k whose closed walk stays on a tree, reducible I included
+    from heavymp.paths import enumerate_canonical_paths
+
+    mu, _table = built
+    for k in range(1, 8):
+        pairs = [
+            (max(i_path), tree_pair_polynomial(i_path, t_path))
+            for r in range(1, k + 1)
+            for i_path in enumerate_canonical_paths(k, r)
+            for level in _tree_walks(i_path).values()
+            for t_path in level
+        ]
+        for alpha, gamma in [(Fraction(1), Fraction(1, 5)), (Fraction(2, 3), Fraction(7, 4))]:
+            a = alpha / 2
+            brute = sum(gamma ** (r - 1) * c * a**i for r, poly in pairs for i, c in enumerate(poly))
+            assert sum(c * a**i * gamma**j for (i, j), c in mu[k].items()) == brute
+            assert brute == mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
 
 
 def test_build_script_writes_the_table_prefix():
@@ -356,28 +405,28 @@ def test_gap_closed_forms_exact():
 
 def test_gap_vanishes_at_alpha_two():
     for gamma in IDENTITY_GAMMAS:
-        for k in range(1, 11):
+        for k in range(1, MOMENT_K_MAX + 1):
             assert _heavy_tail_gap_exact(Fraction(2), gamma, k) == 0
 
 
 def test_alpha_zero_moments_are_modified_poisson_moments():
     # beta_k + d_k(0, gamma) = (1/gamma) sum_r gamma^r S(k, r), exactly
     for gamma in IDENTITY_GAMMAS:
-        for k in range(1, 11):
+        for k in range(1, MOMENT_K_MAX + 1):
             poisson = sum(gamma**r * stirling2(k, r) for r in range(1, k + 1)) / gamma
             mu = mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(Fraction(0), gamma, k)
             assert mu == poisson
 
 
-def test_gap_does_not_depend_on_class_order(build, monkeypatch):
-    classes = build.irreducible_classes
+def test_path_walk_does_not_depend_on_class_order(monkeypatch):
+    classes = oracles.irreducible_classes
 
     def reversed_classes(length):
         return reversed(list(classes(length)))
 
-    before = [list(build.build_irreducible_polynomial(length).items()) for length in range(4, 11)]
-    monkeypatch.setattr(build, "irreducible_classes", reversed_classes)
-    after = [list(build.build_irreducible_polynomial(length).items()) for length in range(4, 11)]
+    before = [list(path_walk_polynomial(length).items()) for length in range(4, 11)]
+    monkeypatch.setattr(oracles, "irreducible_classes", reversed_classes)
+    after = [list(path_walk_polynomial(length).items()) for length in range(4, 11)]
     assert after == before
 
 
@@ -386,7 +435,7 @@ def core_census(m):
     """Oracle: the singleton-free canonical paths of length m with a non-empty
     core, each shortened, counted by (dihedral representative of the core,
     simples)."""
-    from heavymp.paths import shorten, singleton_free_paths
+    from heavymp.paths import shorten
 
     by_core = Counter()
     for path in singleton_free_paths(m):
@@ -406,8 +455,6 @@ def multiplicity(length, m, s):
 
 
 def check_census_multiplicity(m):
-    from heavymp.paths import irreducible_classes
-
     expected = {
         (core, s): size * multiplicity(length, m, s)
         for length in range(4, m + 1)
@@ -438,7 +485,7 @@ def test_gap_equals_census_sum():
     for m in range(4, 11):
         by_census, by_class = Counter(), Counter()
         for (core, simples), count in core_census(m).items():
-            for i, c in enumerate(_core_polynomial(core)):
+            for i, c in enumerate(core_polynomial(core)):
                 by_census[i, simples + max(core) - 1] += count * c
         for length in range(4, m + 1):
             for s in range((m - length) // 2 + 1):
@@ -459,12 +506,11 @@ def test_gap_equals_census_sum():
 
 
 def test_irreducible_count_without_enumeration(monkeypatch):
-    from heavymp import paths
     from heavymp.combinatorics import count_irreducible
 
     totals = {}
     for length in range(1, 13):
-        walked = Counter(max(p) for p in paths.singleton_free_paths(length, run_free=True))
+        walked = Counter(max(p) for p in singleton_free_paths(length, run_free=True))
         for r in range(1, length + 1):
             assert count_irreducible(length, r) == walked[r]
         totals[length] = sum(walked.values())
@@ -474,7 +520,7 @@ def test_irreducible_count_without_enumeration(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("the closed form walks no path")
 
-    monkeypatch.setattr(paths, "singleton_free_paths", no_walk)
+    monkeypatch.setattr(oracles, "singleton_free_paths", no_walk)
     # the paths of lengths 4..20 with a non-empty core, counted at gamma = 1
     # as Bell(k) - Catalan(k) = sum_l M_l sum_s C(k, l + 2s) C(l + 2s, s) 2^(k-l-2s)
     assert sum(
@@ -482,8 +528,9 @@ def test_irreducible_count_without_enumeration(monkeypatch):
     ) == 413_096_308_829
     # 58,892 of lengths 4..12, 296,582 of length 13, 1,913,561 of length 14
     # and 12,988,776 of length 15
-    with pytest.raises(RuntimeError, match="the 15257811 irreducible paths of lengths 4..15.*Bell"):
-        heavy_tail_gap(1.0, 0.2, 15)
+    assert sum(
+        count_irreducible(length, r) for length in range(4, 16) for r in range(1, length + 1)
+    ) == 15_257_811
 
 
 def test_moments_are_rounded_once():
@@ -582,11 +629,12 @@ def test_moments_form_a_stieltjes_sequence():
     for alpha in (Fraction(i, 10) for i in range(1, 20, 2)):
         for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)):
             mu = [Fraction(1)] + [
-                mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k) for k in range(1, 11)
+                mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
+                for k in range(1, MOMENT_K_MAX + 1)
             ]
-            for n in range(1, 7):
+            for n in range(1, MOMENT_K_MAX // 2 + 2):
                 assert exact_det([[mu[i + j] for j in range(n)] for i in range(n)]) > 0
-            for n in range(1, 6):
+            for n in range(1, (MOMENT_K_MAX + 1) // 2 + 1):
                 assert exact_det([[mu[i + j + 1] for j in range(n)] for i in range(n)]) > 0
 
 
@@ -605,8 +653,8 @@ def test_heavy_moment_argument_errors():
         heavy_mp_moment(2.0, 0.2, 4)
     with pytest.raises(ValueError):
         heavy_mp_moment(1.0, -1.0, 4)
-    with pytest.raises(RuntimeError, match="Bell"):
-        heavy_mp_moment(1.0, 0.2, 15)
+    with pytest.raises(RuntimeError, match=f"exceeds {MOMENT_K_MAX}"):
+        heavy_mp_moment(1.0, 0.2, MOMENT_K_MAX + 1)
     for gamma in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             heavy_mp_moment(1.0, gamma, 4)
@@ -614,14 +662,25 @@ def test_heavy_moment_argument_errors():
 
 def test_moment_table_holds_the_one_argument_check():
     with pytest.raises(RuntimeError) as from_moment:
-        heavy_mp_moment(1.0, 0.2, 15)
+        heavy_mp_moment(1.0, 0.2, MOMENT_K_MAX + 1)
     with pytest.raises(RuntimeError) as from_table:
-        moment_table(1.0, 0.2, 15)
+        moment_table(1.0, 0.2, MOMENT_K_MAX + 1)
     assert str(from_table.value) == str(from_moment.value)
-    assert "the 15257811 irreducible paths" in str(from_table.value)
+    assert str(from_table.value) == (
+        "moment order k=19 exceeds 18, the top length of the committed Q_l table; "
+        "scripts/build_qtable.py --max-length builds a longer one"
+    )
     for call in (heavy_mp_moment, heavy_tail_gap, moment_table):
         with pytest.raises(ValueError, match="k must be >= 1"):
             call(1.0, 0.2, 0)
+
+
+def test_refusal_over_the_cap_is_immediate():
+    # the refusal costs the same at any k; it once summed a path count over every length up to k
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=f"exceeds {MOMENT_K_MAX}"):
+        heavy_mp_moment(1.0, 0.2, 10**6)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_moment_table():

@@ -11,12 +11,17 @@ from heavymp.paths import (
     classify,
     enumerate_canonical_paths,
     enumerate_class,
-    irreducible_classes,
     is_canonical,
     shorten,
+)
+from oracles import (
+    dihedral_representative,
+    enumerate_simples,
+    irreducible_classes,
+    partition_to_path,
+    path_to_partition,
     singleton_free_paths,
 )
-from oracles import dihedral_representative, enumerate_simples, partition_to_path, path_to_partition
 
 paths_strategy = st.lists(st.integers(min_value=1, max_value=5), max_size=10).map(tuple)
 
