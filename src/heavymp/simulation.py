@@ -7,6 +7,12 @@ is needed), and aggregates replicates reproducibly: replicate j draws from a
 stream spawned from the master seed, so results are independent of how
 replicates are scheduled.
 
+A replicate holds at most ``_PANEL_COLUMNS`` columns of its p x n sample at
+once.  It draws the sample as column panels, left to right, each in place in
+one reused p x w buffer, and sums the Gram matrix X X' from the panels'
+products X_b X_b'.  ``sample_matrix`` copies the same panels side by side, so
+it returns exactly the draws a replicate uses.
+
 A moments-only run does all its BLAS on one OpenBLAS thread: the replicate
 pool supplies the parallelism, and the Gram product's last bits, which the
 moments show, would otherwise depend on the BLAS thread count.  Runs that
@@ -34,9 +40,17 @@ from heavymp._common import DISTRIBUTIONS, _fmt
 # plus moments.  Both costs grow as p^3, so the cut does not depend on p.
 TRACE_K_CUT = 9
 
-# Rows of t draws formed at once by ``_student_t``: 32 rows hold 1.3 MB at
-# n=5000, so a block's ufunc passes run in cache and its scratch is small
-# beside the p x n output.
+# Widest column panel a replicate draws at once: n is split into
+# ceil(n / _PANEL_COLUMNS) contiguous panels whose widths differ by at most
+# one, so n <= _PANEL_COLUMNS is one p x n panel.  Each panel product after
+# the first adds a p x p triangle copy and an add to the Gram's cost: at
+# p=1000, n=5000 on one thread one product forms it in 122 ms, two panels
+# (20 MB each) in 126 ms, three in 130 ms and five in 141 ms.
+_PANEL_COLUMNS = 2500
+
+# Rows of t draws formed at once by ``_student_t``: 32 rows of a 2500-column
+# panel hold 640 KB, so a block's ufunc passes run in cache and its scratch
+# is small beside the panel.
 _T_BLOCK_ROWS = 32
 
 # Rows drawn at once by ``self_normalized_fourth_moment``: 500 rows of 10^4
@@ -55,24 +69,47 @@ def sample_matrix(
 
     ``t`` and ``pareto`` require a tail index alpha in (0, 2) and sample the
     exact laws (Student t with alpha degrees of freedom; sign * U^(-1/alpha))
-    with no tail truncation.  ``gaussian`` is the light-tailed control.
+    with no tail truncation.  ``gaussian`` is the light-tailed control.  The
+    columns are the panels replicate ``replicate`` draws, copied side by side.
     """
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
-    rng = _replicate_rng(seed, replicate)
-    if dist == "gaussian":
-        return rng.standard_normal((p, n))
-    if alpha is None or not 0.0 < alpha < 2.0:
+    if dist != "gaussian" and (alpha is None or not 0.0 < alpha < 2.0):
         raise ValueError(f"{dist} sampling needs alpha in (0, 2), got {alpha}")
-    if dist == "t":
-        return _student_t(rng, alpha, (p, n))
-    return _pareto(rng, alpha, (p, n))
+    out = np.empty((p, n))
+    start = 0
+    for panel in _panels(p, n, dist, alpha, seed, replicate):
+        out[:, start : start + panel.shape[1]] = panel
+        start += panel.shape[1]
+    return out
 
 
-def _student_t(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -> np.ndarray:
-    """Student t with alpha degrees of freedom, by Bailey's polar method.
+def _panels(p: int, n: int, dist: str, alpha: float | None, seed: int, replicate: int):
+    """Yield the p x n sample of replicate ``replicate`` as column panels, left to right.
+
+    Every panel is drawn in place in one buffer, so a panel is overwritten
+    when the next one is drawn.  Each panel is C-contiguous: a panel of width
+    w is the first p * w entries of the buffer.
+    """
+    rng = _replicate_rng(seed, replicate)
+    count = -(-n // _PANEL_COLUMNS)
+    widths = [n // count + (b < n % count) for b in range(count)]
+    buffer = np.empty(p * widths[0])
+    for w in widths:
+        panel = buffer[: p * w].reshape(p, w)
+        if dist == "gaussian":
+            rng.standard_normal(out=panel)
+        elif dist == "t":
+            _student_t(rng, alpha, panel)
+        else:
+            _pareto(rng, alpha, panel)
+        yield panel
+
+
+def _student_t(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with Student t draws with alpha degrees of freedom, by Bailey's polar method.
 
     t = sqrt(alpha (W^(-2/alpha) - 1)) sin 2phi with W uniform on (0, 1] and
     phi uniform on (-pi/4, pi/4) is exactly t(alpha) (R. W. Bailey, "Polar
@@ -82,13 +119,12 @@ def _student_t(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -
     normal draw is needed.  W^(-2/alpha) - 1 is formed as
     expm1(-(2/alpha) log W), exact near W = 1, and sin 2phi as
     2 tan(phi) / (1 + tan^2(phi)), since numpy's float64 ``tan`` is several
-    times faster than its ``sin`` and ``cos``.  The output is filled in place
-    ``_T_BLOCK_ROWS`` rows at a time, each block's W uniforms before its phi
-    uniforms, so only one scratch block is alive beside the output.
+    times faster than its ``sin`` and ``cos``.  ``out`` (2-d, C-contiguous)
+    is filled in place ``_T_BLOCK_ROWS`` rows at a time, each block's W
+    uniforms before its phi uniforms, with one scratch block beside it.
     """
-    out = np.empty(shape)
-    scratch = np.empty((min(_T_BLOCK_ROWS, shape[0]), shape[1]))
-    for start in range(0, shape[0], _T_BLOCK_ROWS):
+    scratch = np.empty((min(_T_BLOCK_ROWS, out.shape[0]), out.shape[1]))
+    for start in range(0, out.shape[0], _T_BLOCK_ROWS):
         t = out[start : start + _T_BLOCK_ROWS]
         tan = scratch[: t.shape[0]]
         rng.random(out=t)
@@ -109,26 +145,43 @@ def _student_t(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -
     return out
 
 
-def _pareto(rng: np.random.Generator, alpha: float, shape: tuple[int, int]) -> np.ndarray:
-    """sign * U^(-1/alpha), U uniform on (0, 1], sign from the top bit of a random byte."""
-    x = rng.random(shape)
-    np.subtract(1.0, x, out=x)
-    x **= -1.0 / alpha
-    signs = rng.integers(-128, 128, size=shape, dtype=np.int8)
-    return np.copysign(x, signs, out=x)
+def _pareto(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with sign * U^(-1/alpha), U uniform on (0, 1], sign from the top bit of a random byte."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    out **= -1.0 / alpha
+    signs = rng.integers(-128, 128, size=out.shape, dtype=np.int8)
+    return np.copysign(out, signs, out=out)
 
 
 def correlation_matrix(data: np.ndarray) -> np.ndarray:
     """R = Y Y' with rows of the data normalized to unit Euclidean norm.
 
-    R is the Gram matrix G = X X' scaled by 1 / (|x_i| |x_j|).  BLAS forms
-    X X' as a symmetric rank-k update, so R is exactly symmetric; its
-    diagonal is set to exactly 1.
+    R is the Gram matrix G = X X' scaled by 1 / (|x_i| |x_j|), formed as
+    ``run_replicate`` forms it from one panel.
     """
     data = np.ascontiguousarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {data.shape}")
-    gram = data @ data.T
+    return _correlation([data])
+
+
+def _correlation(panels) -> np.ndarray:
+    """R from the column panels X_b of the data: G = sum_b X_b X_b', then scaled.
+
+    BLAS forms each X_b X_b' as a symmetric rank-k update; the first is
+    written straight into G and each later one into a spare p x p buffer
+    and added, so G, and R = G / (|x_i| |x_j|), are exactly symmetric.  The
+    spare buffer then holds the outer product of the row norms.  R's
+    diagonal is set to exactly 1.
+    """
+    panels = iter(panels)
+    first = next(panels)
+    gram = first @ first.T
+    spare = np.empty_like(gram)
+    for panel in panels:
+        np.matmul(panel, panel.T, out=spare)
+        gram += spare
     sq_norms = np.diag(gram).copy()
     bad_rows = np.flatnonzero(~np.isfinite(sq_norms))
     if bad_rows.size:
@@ -140,7 +193,7 @@ def correlation_matrix(data: np.ndarray) -> np.ndarray:
     if zero_rows.size:
         raise ValueError(f"row {zero_rows[0]} is identically zero; cannot normalize")
     norms = np.sqrt(sq_norms)
-    gram /= np.outer(norms, norms)
+    gram /= np.outer(norms, norms, out=spare)
     np.fill_diagonal(gram, 1.0)
     return gram
 
@@ -250,16 +303,13 @@ class ExperimentReport:
 
 
 def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
-    data = sample_matrix(
-        config.p, config.n, config.dist, config.seed, alpha=config.alpha, replicate=replicate
-    )
+    panels = _panels(config.p, config.n, config.dist, config.alpha, config.seed, replicate)
     try:
-        corr = correlation_matrix(data)
+        corr = _correlation(panels)
     except ArithmeticError as exc:
         raise ArithmeticError(
             f"{config.dist} draws with alpha={config.alpha}, replicate {replicate}: {exc}"
         ) from exc
-    del data
     eigenvalues = None
     if config.needs_spectrum:
         try:

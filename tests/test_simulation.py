@@ -94,10 +94,11 @@ def test_t_sampler_matches_standard_t(alpha):
 
 
 def test_t_sampler_ragged_last_block():
-    # the last row block holds one row, so a row the block loop skipped or
-    # filled twice would show as a step in the pooled CDF
-    p = simulation._T_BLOCK_ROWS + 1
-    _assert_matches_standard_t(sample_matrix(p, 1500, "t", seed=22, alpha=0.8), 0.8)
+    # two panels, one column apart in width, each with a last row block of
+    # one row, so a row or column the block and panel loops skipped or filled
+    # twice would show as a step in the pooled CDF
+    p, n = simulation._T_BLOCK_ROWS + 1, simulation._PANEL_COLUMNS + 1
+    _assert_matches_standard_t(sample_matrix(p, n, "t", seed=22, alpha=0.8), 0.8)
 
 
 @pytest.mark.slow
@@ -120,20 +121,29 @@ def test_t_sampler_large_sample_oracle():
         del draws
 
 
-def test_t_sampler_peak_memory():
-    # one p x n output plus one scratch row block, where the gamma-normal
-    # sampler held two p x n arrays
-    p, n = 4 * simulation._T_BLOCK_ROWS + 3, 2000
-    output_bytes = p * n * 8
-    block_bytes = simulation._T_BLOCK_ROWS * n * 8
+def _replicate_peak_bytes(p, n):
+    config = SimConfig(p=p, n=n, dist="t", alpha=1.0, k_max=4, replicates=1, seed=9)
     tracemalloc.start()
     try:
-        draws = sample_matrix(p, n, "t", seed=9, alpha=1.0)
+        run_replicate(config, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert draws.shape == (p, n)
-    assert peak < output_bytes + 2 * block_bytes
+    return peak
+
+
+def test_replicate_peak_memory_does_not_grow_with_n():
+    # a moments-only replicate holds one p x w panel, one scratch row block
+    # of the t sampler and a few p x p matrices, never its p x n sample; the
+    # first call also counts numpy's one-off allocations, so it is left out
+    w = simulation._PANEL_COLUMNS
+    p, n = 4 * simulation._T_BLOCK_ROWS + 3, 16 * w
+    panel_bytes = p * w * 8
+    block_bytes = simulation._T_BLOCK_ROWS * w * 8
+    _replicate_peak_bytes(p, n // 4)
+    peak = _replicate_peak_bytes(p, n)
+    assert peak < panel_bytes + 2 * block_bytes + 4 * p * p * 8 < p * n * 8 / 8
+    assert peak <= 1.1 * _replicate_peak_bytes(p, n // 2)
 
 
 def test_pareto_tail_law():
@@ -174,13 +184,13 @@ class _ZeroUniforms(_FixedUniforms):
 
 
 def test_pareto_zero_uniform_gives_finite_draw():
-    draws = _pareto(_ZeroUniforms(), 0.5, (3, 4))
+    draws = _pareto(_ZeroUniforms(), 0.5, np.empty((3, 4)))
     assert np.array_equal(np.abs(draws), np.ones((3, 4)))
 
 
 def test_t_zero_uniform_gives_finite_draw():
     # W = 1 - 0 = 1 gives W^(-2/alpha) - 1 = 0, so the draw is 0 whatever the angle
-    draws = _student_t(_ZeroUniforms(), 0.5, (simulation._T_BLOCK_ROWS + 2, 4))
+    draws = _student_t(_ZeroUniforms(), 0.5, np.empty((simulation._T_BLOCK_ROWS + 2, 4)))
     assert np.array_equal(draws, np.zeros_like(draws))
 
 
@@ -188,7 +198,7 @@ def test_t_overflow_at_zero_angle_is_nan_and_caught():
     # W = 2^-53 overflows W^(-100) at alpha=0.02, and a uniform of 1/2 is the
     # angle phi = 0: inf * tan(0) is NaN, which the row-norm check rejects
     tiny_w = _FixedUniforms(1.0 - 2.0**-53, 0.5)
-    draws = _student_t(tiny_w, 0.02, (2, 3))
+    draws = _student_t(tiny_w, 0.02, np.empty((2, 3)))
     assert np.all(np.isnan(draws))
     with pytest.raises(ArithmeticError, match="row 0 has squared norm nan"):
         correlation_matrix(draws)
@@ -197,6 +207,35 @@ def test_t_overflow_at_zero_angle_is_nan_and_caught():
 def test_correlation_matrix_overflow_names_row():
     with pytest.raises(ArithmeticError, match="row 1"):
         correlation_matrix(np.array([[1.0, 2.0], [1e200, 1.0]]))
+    # an overflow in a later panel survives the sum of the panel products
+    with pytest.raises(ArithmeticError, match="row 1 has squared norm inf"):
+        simulation._correlation([np.ones((2, 3)), np.array([[1.0], [1e200]])])
+
+
+def test_overflow_in_a_multi_panel_replicate_names_row_and_alpha():
+    # alpha=0.02 Pareto entries reach 1e154 and beyond, so squared row norms overflow
+    n = 3 * simulation._PANEL_COLUMNS + 1
+    config = SimConfig(p=5, n=n, dist="pareto", alpha=0.02, k_max=3, replicates=1, seed=3)
+    with pytest.raises(ArithmeticError, match=r"pareto draws with alpha=0\.02, replicate 0: row \d+"):
+        run_replicate(config, 0)
+
+
+@pytest.mark.parametrize("dist, alpha", [("t", 1.0), ("pareto", 0.5), ("gaussian", None)])
+def test_streamed_replicate_matches_the_sample_matrix_oracle(dist, alpha):
+    # three panels of uneven width; the oracle forms R from the whole p x n
+    # sample in one product, the replicate sums three panel products
+    p, n = 30, 2 * simulation._PANEL_COLUMNS + 3
+    widths = [panel.shape[1] for panel in simulation._panels(p, n, dist, alpha, 4, 2)]
+    assert widths == [n // 3 + 1] * (n % 3) + [n // 3] * (3 - n % 3)
+    oracle = correlation_matrix(sample_matrix(p, n, dist, seed=4, alpha=alpha, replicate=2))
+    corr = simulation._correlation(simulation._panels(p, n, dist, alpha, 4, 2))
+    assert np.array_equal(corr, corr.T)
+    assert np.array_equal(np.diag(corr), np.ones(p))
+    assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
+    for k_max in (TRACE_K_CUT - 1, TRACE_K_CUT):
+        config = SimConfig(p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=1, seed=4)
+        expected = empirical_moments(np.linalg.eigvalsh(oracle), k_max)
+        assert np.allclose(run_replicate(config, 2).moments, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("p, n", [(40, 200), (30, 10)])
@@ -280,16 +319,15 @@ def test_p_larger_than_n_gives_zero_mass():
 
 
 def test_run_experiment_deterministic_across_threads(tmp_path):
-    base = dict(p=20, n=60, dist="t", alpha=1.0, k_max=3, replicates=6, seed=123)
-    r1 = run_experiment(SimConfig(**base, out_dir=tmp_path / "a", threads=1))
-    r2 = run_experiment(SimConfig(**base, out_dir=tmp_path / "b", threads=3))
-    assert (tmp_path / "a" / "moments.csv").read_bytes() == (
-        tmp_path / "b" / "moments.csv"
-    ).read_bytes()
-    assert (tmp_path / "a" / "summary.json").read_bytes() == (
-        tmp_path / "b" / "summary.json"
-    ).read_bytes()
-    assert np.array_equal(r1.mean_moments, r2.mean_moments)
+    # one panel, then three
+    for n in (60, 2 * simulation._PANEL_COLUMNS + 3):
+        base = dict(p=20, n=n, dist="t", alpha=1.0, k_max=3, replicates=6, seed=123)
+        one, three = tmp_path / f"{n}-a", tmp_path / f"{n}-b"
+        r1 = run_experiment(SimConfig(**base, out_dir=one, threads=1))
+        r2 = run_experiment(SimConfig(**base, out_dir=three, threads=3))
+        for name in ("moments.csv", "summary.json"):
+            assert (one / name).read_bytes() == (three / name).read_bytes()
+        assert np.array_equal(r1.mean_moments, r2.mean_moments)
 
 
 def _blas_threads():
