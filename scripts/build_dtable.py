@@ -1,16 +1,16 @@
-"""Write the table of irreducible-path polynomials Q_4..Q_L to standard output.
+"""Write the table of moment gaps d_1..d_L to standard output.
 
-    PYTHONPATH=src python scripts/build_qtable.py > src/heavymp/_qtable.py
-    PYTHONPATH=src python scripts/build_qtable.py --max-length 11
+    PYTHONPATH=src python scripts/build_dtable.py > src/heavymp/_dtable.py
+    PYTHONPATH=src python scripts/build_dtable.py --max-length 11
 
-Q_l(a, gamma) sums gamma^(r-1) P_I over the irreducible canonical paths I of
-length l (see ``heavymp.moments.heavy_tail_gap``), a = alpha/2.  No path is
-walked.  A canonical pair (I, T) of length k adds to mu_k exactly when its
-closed walk i_1 t_1 ... i_k t_k i_1 stays on a tree.  Summing each vertex's
-weight over the orders in which its excursions interleave splits a pair's
-weight into one factor per edge, and the sum over all such pairs becomes a
-fixed point for sum_k mu_k z^k in formal power series whose coefficients are
-polynomials in a and gamma:
+d_k(a, gamma) = mu_k - beta_k is the heavy-tailed part of the k-th moment, a
+polynomial in a = alpha/2 and gamma.  No path is walked.  A canonical pair
+(I, T) of length k adds to mu_k exactly when its closed walk
+i_1 t_1 ... i_k t_k i_1 stays on a tree.  Summing each vertex's weight over
+the orders in which its excursions interleave splits a pair's weight into one
+factor per edge, and the sum over all such pairs becomes a fixed point for
+sum_k mu_k z^k in formal power series whose coefficients are polynomials in a
+and gamma:
 
     c_m = (1 - a)_(m-1) / (m! (m-1)!),   e_(M,j) = [w^M] (sum_m c_m w^m)^j / j!,
     B_m = sum_M C(m-1+M, M) M! z^M sum_j e_(M,j) (gamma X)^j,
@@ -19,18 +19,17 @@ polynomials in a and gamma:
 
 with (x)_n the rising factorial and B_m the weight of a column vertex
 entered m times.  S has no constant term, so pass p of the fixed point, run
-to degree p only, fixes X to degree p.  Then d_l = mu_l - beta_l is Q_l plus
-a combination of Q_4..Q_(l-1) (``heavy_tail_gap``), so Q_l is peeled off
-length by length.  The coefficients are exact Fractions, written with sorted
-keys, so a rebuild is byte-for-byte identical to the committed
-``heavymp._qtable``.  On a 2-core Xeon VM, lengths 4..14 take about 1.6 s,
-against 53 s for the paper's path walk (kept in tests/oracles.py), and
-lengths 4..18 about 7 s.
+to degree p only, fixes X to degree p.  Then d_k is mu_k less the Narayana
+polynomial beta_k.  The coefficients are exact Fractions, written as
+integer numerators over one lcm per order with sorted keys, so a rebuild is
+byte-for-byte identical to the committed ``heavymp._dtable``.  On a 2-core
+Xeon VM, orders 1..14 take about 1.6 s, and orders 1..18 about 7 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -42,14 +41,15 @@ Poly = dict[tuple[int, int], Fraction]  # {(i, j): coefficient of a^i gamma^j}
 Series = list[Poly]  # the coefficients of z^0, z^1, ...
 ONE: Poly = {(0, 0): Fraction(1)}
 
-HEADER = '''"""Q_l(a, gamma) for l = 4..{top}, generated by scripts/build_qtable.py; do not edit.
+HEADER = '''"""d_k = mu_k - beta_k for k = 1..{top}, generated by scripts/build_dtable.py; do not edit.
 
-Q[l] holds one line "i j c" per non-zero coefficient c of a^i gamma^j in Q_l,
-a = alpha/2, with c an exact Fraction string.  Strings compile faster than
-tuples, and heavymp.moments parses a length on first use.
+D[k] is (L, lines) with one line "i j n" per non-zero coefficient n / L of
+a^i gamma^j in d_k, a = alpha/2, n an integer and L the lcm of d_k's
+denominators.  Strings compile faster than tuples, and heavymp.moments
+parses an order on first use.
 """
 
-Q = {{
+D = {{
 '''
 
 
@@ -125,31 +125,23 @@ def moment_polynomials(max_length: int) -> Series:
     return [ONE] + _series_mul(_compose(mw, x, max_length), x, max_length)[1:]
 
 
-def irreducible_polynomials(max_length: int) -> dict[int, Poly]:
-    """Q_4..Q_max_length, each {(i, j): coefficient} in sorted order, zeros dropped:
-    d_k = sum_l sum_s C(k, l + 2s) C(l + 2s, s) gamma^s (1 + gamma)^(k-l-2s) Q_l,
-    whose l = k term is Q_k itself."""
+def gap_polynomials(max_length: int) -> dict[int, Poly]:
+    """d_1..d_max_length, each {(i, j): coefficient} in sorted order, zeros dropped:
+    mu_k less the Narayana polynomial beta_k = sum_r C0(k, r) gamma^(r-1)."""
     mu = moment_polynomials(max_length)
-    table: dict[int, Poly] = {}
-    for k in range(4, max_length + 1):
+    gaps = {}
+    for k in range(1, max_length + 1):
         beta = {(0, r - 1): Fraction(-count_c0(k, r)) for r in range(1, k + 1)}
-        terms = [mu[k], beta]
-        for length, q in table.items():
-            weight: Counter[tuple[int, int]] = Counter()
-            for s in range((k - length) // 2 + 1):
-                n = length + 2 * s
-                for t in range(k - n + 1):
-                    weight[0, s + t] -= comb(k, n) * comb(n, s) * comb(k - n, t)
-            terms.append(_mul(weight, q))
-        table[k] = dict(sorted(_sum(terms).items()))
-    return table
+        gaps[k] = dict(sorted(_sum((mu[k], beta)).items()))
+    return gaps
 
 
 def render(max_length: int) -> str:
     lines = [HEADER.format(top=max_length)]
-    for length, poly in irreducible_polynomials(max_length).items():
-        body = "".join(f'        "{i} {j} {c}\\n"\n' for (i, j), c in poly.items())
-        lines.append(f"    {length}: (\n{body}    ),\n" if body else f'    {length}: "",\n')
+    for k, poly in gap_polynomials(max_length).items():
+        lcm = math.lcm(*(c.denominator for c in poly.values()))
+        body = "".join(f'        "{i} {j} {c * lcm}\\n"\n' for (i, j), c in poly.items())
+        lines.append(f"    {k}: ({lcm},\n{body}    ),\n" if body else f'    {k}: (1, ""),\n')
     lines.append("}\n")
     return "".join(lines)
 
@@ -158,8 +150,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-length", type=int, default=18)
     args = parser.parse_args()
-    if args.max_length < 4:
-        parser.error(f"--max-length must be >= 4, got {args.max_length}")
+    if args.max_length < 1:
+        parser.error(f"--max-length must be >= 1, got {args.max_length}")
     print(render(args.max_length), end="")
 
 

@@ -2,8 +2,9 @@
 
 Everything here is plain Python integer arithmetic, so counts are exact for
 any argument size; the path enumerators built on restricted growth strings
-(``paths.enumerate_canonical_paths``) are capped at ``K_MAX`` because the number of partitions of {1..k} is the k-th Bell number,
-which grows super-exponentially (Bell(12) = 4,213,597; Bell(20) > 5*10^13).
+(``paths.enumerate_canonical_paths``) are capped at ``K_MAX`` because the
+number of partitions of {1..k} is the k-th Bell number, which grows
+super-exponentially (Bell(12) = 4,213,597; Bell(20) > 5*10^13).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from typing import Iterator
 
 #: Default cap on the ground-set size for full enumerations (``heavymp paths
 #: --k``, brute-force contributing sets), which list up to Bell(k) paths, and
-#: for ``heavymp counts``.  Moments do not enumerate: they read Q_4..Q_18 from a committed
-#: table (``moments.MOMENT_K_MAX``), which scripts/build_qtable.py builds
-#: from a recursion in formal power series without walking a path.
+#: for ``heavymp counts``.  Moments do not enumerate: they read the gaps
+#: d_1..d_18 from a committed table (``moments.MOMENT_K_MAX``), which
+#: scripts/build_dtable.py builds from a recursion in formal power series
+#: without walking a path.
 K_MAX = 12
 
 
@@ -100,9 +102,13 @@ def count_irreducible(k: int, r: int) -> int:
     A path is irreducible when shortening removes nothing: every label occurs
     at least twice and no two cyclically consecutive entries are equal.  The
     S(k, r) - C0(k, r) paths that are not completely reducible each shorten
-    to a core of some length l.  A path with j singletons and s further
-    simple removals has the core's labels and s + j more, so grading the
-    multiplicity in ``moments.heavy_tail_gap`` by labels (with P_I = 1) gives
+    to a core of some length l.  A singleton-free path of length m whose core
+    has length l and whose shortening makes s simple removals occurs
+    N(l, m, s) = C(m, l + 2s) C(l + 2s, s) times per canonical form of the
+    core: each erased run letter duplicates a neighbour, and each simple
+    removal is a pair of letters that collapses onto the core.  A path with j
+    singletons and s further simple removals has the core's labels and s + j
+    more, so adding back the singletons and grading by labels gives
 
         sum_r [S(k, r) - C0(k, r)] g^(r-1)
             = sum_l sum_s C(k, l + 2s) C(l + 2s, s) g^s (1 + g)^(k-l-2s) M_l(g),

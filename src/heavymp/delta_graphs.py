@@ -8,9 +8,10 @@ skeleton (parallel edges glued) is a tree contribute at leading order.  The
 levels C_s(I) of such column paths with s distinct labels are generated as
 the closed walks i_1 t_1 i_2 t_2 ... i_k t_k i_1 that never close a cycle.
 Summed over these pairs, a core I gives its limit polynomial P_I.  The
-moments do not sum cores: scripts/build_qtable.py sums the same tree walks
-over all row paths at once, by a recursion in formal power series, and this
-module shows the paper's combinatorics behind it.
+moments do not sum cores: scripts/build_dtable.py sums the same tree walks
+over all row paths at once, by a recursion in formal power series, into the
+committed table of the gaps d_k, and this module shows the paper's
+combinatorics behind it.
 """
 
 from __future__ import annotations
@@ -158,24 +159,22 @@ def _tree_walks(i_path: Path) -> dict[int, list[Path]]:
     return found
 
 
-def contributing_sets(
-    i_path: Path, mode: str = "refine", k_max: int = K_MAX
-) -> ContributingSets:
+def contributing_sets(i_path: Path, mode: str = "refine") -> ContributingSets:
     """Build the non-empty levels C_s(I) for an irreducible canonical path.
 
     ``mode="refine"`` generates the contributing column paths directly, as
     the closed walks of ``_tree_walks``, and groups them by label count;
     ``mode="brute"`` filters all canonical s-paths of length k for even edge
     degrees and a tree skeleton, level by level up to the first empty one,
-    and serves as the oracle.  ``k_max`` caps |I| in brute mode only, since
-    it lists up to Bell(|I|) paths; refine mode walks trees and needs no cap.
+    and serves as the oracle.  Brute mode caps |I| at ``combinatorics.K_MAX``,
+    since it lists up to Bell(|I|) paths; refine mode walks trees and needs no cap.
     """
     if not is_canonical(i_path):
         raise ValueError(f"path {i_path} is not canonical")
     if not i_path:
         raise ValueError("empty path")
-    if mode == "brute" and len(i_path) > k_max:
-        raise ValueError(f"|I|={len(i_path)} exceeds k_max={k_max}")
+    if mode == "brute" and len(i_path) > K_MAX:
+        raise ValueError(f"|I|={len(i_path)} exceeds k_max={K_MAX}")
     ps = shorten(i_path)
     if ps.shortened != i_path:
         raise ValueError(f"path {i_path} is reducible; shorten it first")
@@ -194,7 +193,7 @@ def contributing_sets(
     for s in range(2, k - max(i_path) + 2):
         level = tuple(
             t_path
-            for t_path in enumerate_canonical_paths(k, s, k_max)
+            for t_path in enumerate_canonical_paths(k, s)
             if is_even(graph := build_delta(i_path, t_path)) and is_tree_skeleton(graph)
         )
         if not level:

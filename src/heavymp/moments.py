@@ -1,24 +1,15 @@
 """Exact limiting spectral moments, light- and heavy-tailed.
 
 The classical moments ``mp_moment`` are evaluated in rational arithmetic.
-The heavy-tailed moments ``heavy_mp_moment`` are assembled path-wise: each
-canonical path of length k shortens to a core; completely reducible paths
-(empty core) sum to the classical part, and each non-empty core contributes
-gamma^(r-1) times a polynomial in alpha/2 with rational coefficients, summed
-over its contributing column-path levels.  So d_k = mu_k - beta_k is a
-polynomial in alpha and gamma, evaluated exactly and rounded once.
-
-No path is shortened: the number of paths of each length with a given core
-and number of simple removals is a product of two binomials (see
-``heavy_tail_gap``), so d_k needs only the polynomials Q_4..Q_k of the
-irreducible paths.  scripts/build_qtable.py builds them once, from a
-fixed-point recursion for the moment series over closed walks on trees, and
-writes their exact coefficients for lengths 4..18 to ``heavymp._qtable``,
-which moments read: no moment walks a path.  At a point (alpha, gamma), each
-Q_l becomes one integer numerator over a denominator shared by all l, and
-beta_1..beta_K and d_1..d_K come out of one pass in integers
-(``_moment_numerators``), each rounded once by an integer division: a cold
-k = 14 table takes under 2 ms.
+The heavy-tailed moments ``heavy_mp_moment`` are mu_k = beta_k + d_k: the
+Marchenko-Pastur moment beta_k plus a gap d_k that is a polynomial in
+alpha/2 and gamma with rational coefficients.  scripts/build_dtable.py
+builds d_1..d_18 once, from a fixed-point recursion for the moment series
+over closed walks on trees, and writes their exact coefficients to
+``heavymp._dtable``, which moments read: no moment walks a path.  At a point
+(alpha, gamma), beta_k and d_k become integer numerators over one
+denominator per k (``_moment_numerators``), each rounded once by an integer
+division: a cold k = 14 table takes under 2 ms.
 """
 
 from __future__ import annotations
@@ -26,18 +17,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
-from heavymp import _qtable
+from heavymp import _dtable
 from heavymp.combinatorics import _times_shifts, count_c0, stirling2
 
 # int, Fraction or str; a float is taken at its exact binary value, so pass a
 # str or Fraction for decimal-exact gammas
 RationalLike = int | Fraction | str
 
-#: Largest moment order: the top length of the committed Q_l table.
-MOMENT_K_MAX = max(_qtable.Q)
+#: Largest moment order: the top order of the committed d_k table.
+MOMENT_K_MAX = max(_dtable.D)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -96,35 +87,12 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
     """d_k = mu_k - beta_k, the excess over the classical moment.
 
     Path-wise, d_k sums gamma^simples * gamma^(r-1) P_I(alpha/2) over the
-    canonical length-k paths with a non-empty core I on r labels.  Deleting
-    the j singleton labels of such a path leaves a singleton-free path of
-    length m = k - j with the same core and j fewer simple removals.  A singleton-free path of length m
-    whose core I has length l and whose shortening makes s simple removals
-    occurs, for each canonical form of I,
-
-        N(l, m, s) = C(m, l + 2s) C(l + 2s, s)
-
-    times.  Sketch: shortening erases m - l - s runs.  A simple letter x
-    removed from y x y leaves the run y y, so each simple removal is a pair
-    of letters that collapses onto the core, and the s pairs sit among the
-    l + 2s letters that are not plain run letters in C(l + 2s, s) ways.
-    Each of the other m - l - 2s erased letters duplicates a neighbour,
-    and their places among the m positions give C(m, l + 2s).  (The tests
-    check N against a full census of the paths for m <= 12.)  Summing the
-    singleton positions over m, sum_m C(k, m) C(m, n) gamma^(k-m) =
-    C(k, n) (1 + gamma)^(k-n), so
-
-        d_k = sum_l sum_s C(k, l + 2s) C(l + 2s, s) gamma^s (1 + gamma)^(k-l-2s) Q_l,
-
-    where Q_l sums gamma^(r-1) P_I over the irreducible canonical paths I of
-    length l, P_I being the limit polynomial in alpha/2 of the contributing
-    column paths of I (``delta_graphs.contributing_sets``).  Q_l is a
-    polynomial in alpha/2 and gamma read from the committed table, which
-    scripts/build_qtable.py peels off d_l length by length: the l = k, s = 0
-    term above is Q_k itself.  So d_k depends only on Q_4..Q_k.
-    It is evaluated in integers at the binary values of alpha and gamma, as
-    one numerator over a common denominator (``_moment_numerators``), and
-    rounded once by a single integer division.
+    canonical length-k paths with a non-empty core I on r labels, P_I being
+    the limit polynomial of the contributing column paths of I
+    (``delta_graphs.contributing_sets``).  So d_k is a polynomial in alpha/2
+    and gamma, read from the committed table, evaluated in integers at the
+    binary values of alpha and gamma as one numerator over one denominator
+    (``_moment_numerators``), and rounded once by a single integer division.
     """
     return moment_table(alpha, gamma, k).d[-1]
 
@@ -138,59 +106,35 @@ def _heavy_tail_gap_exact(alpha: RationalLike, gamma: RationalLike, k: int) -> F
 def _moment_numerators(alpha: Fraction, gamma: Fraction, k_max: int) -> list[tuple[int, int, int]]:
     """(b, d, den) for k = 1..k_max: beta_k = b / den and d_k = d / den exactly.
 
-    With a = alpha/2 = A/D_a and gamma = G/D_g, every Q_l is one integer
-    numerator q_l over the shared denominator L D_a^I D_g^J (L the lcm of the
-    table's denominators, I and J its top powers of a and gamma), and the
-    terms of d_k and beta_k share the denominator L D_a^I D_g^J D_g^(k-1).
-    An int division rounds correctly, so b / den is float(Fraction(b, den)).
+    With a = alpha/2 = A/D_a and gamma = G/D_g, beta_k and d_k share the
+    denominator L_k D_a^I D_g^(k-1), with L_k the lcm of d_k's denominators
+    and I the top power of a up to k_max; neither has a power of gamma above
+    k - 1.  An int division rounds correctly, so b / den is float(Fraction(b, den)).
     """
     a = alpha / 2
     big_a, den_a = a.numerator, a.denominator
     big_g, den_g = gamma.numerator, gamma.denominator
-    polys = {length: _integer_polynomial(length) for length in range(4, k_max + 1)}
-    lcm = math.lcm(*(poly_lcm for poly_lcm, _terms in polys.values()))
-    top_i = max((i for _lcm, terms in polys.values() for i, _j, _c in terms), default=0)
-    top_j = max((j for _lcm, terms in polys.values() for _i, j, _c in terms), default=0)
+    polys = [_integer_polynomial(k) for k in range(1, k_max + 1)]
+    top_i = max((i for _lcm, terms in polys for i, _j, _c in terms), default=0)
     a_terms = [big_a**i * den_a ** (top_i - i) for i in range(top_i + 1)]
-    g_terms = [big_g**j * den_g ** (top_j - j) for j in range(top_j + 1)]
-    q = {
-        length: lcm // poly_lcm * sum(c * a_terms[i] * g_terms[j] for i, j, c in terms)
-        for length, (poly_lcm, terms) in polys.items()
-    }
-    q_den = lcm * den_a**top_i * den_g**top_j
-    g_pow, one_plus_g_pow, den_g_pow = ([1] for _ in range(3))
-    for _ in range(k_max):
-        g_pow.append(g_pow[-1] * big_g)
-        one_plus_g_pow.append(one_plus_g_pow[-1] * (den_g + big_g))
-        den_g_pow.append(den_g_pow[-1] * den_g)
     rows = []
-    for k in range(1, k_max + 1):
+    for k, (lcm, terms) in enumerate(polys, start=1):
+        g_terms = [big_g**j * den_g ** (k - 1 - j) for j in range(k)]
         # beta_k = sum_r C0(k, r) gamma^(r-1), the completely reducible paths
-        b = sum(count_c0(k, r) * g_pow[r - 1] * den_g_pow[k - r] for r in range(1, k + 1))
-        # gamma^s (1 + gamma)^(k-n) = G^s (D_g + G)^(k-n) / D_g^(k-l-s) with n = l + 2s,
-        # so over D_g^(k-1) the term takes D_g^(l+s-1)
-        d = sum(
-            comb(k, length + 2 * s) * comb(length + 2 * s, s) * g_pow[s]
-            * one_plus_g_pow[k - length - 2 * s] * den_g_pow[length + s - 1] * q[length]
-            for length in range(4, k + 1)
-            for s in range((k - length) // 2 + 1)
-        )
-        rows.append((b * q_den, d, q_den * den_g_pow[k - 1]))
+        b = sum(count_c0(k, r) * g_terms[r - 1] for r in range(1, k + 1))
+        d = sum(c * a_terms[i] * g_terms[j] for i, j, c in terms)
+        scale = lcm * den_a**top_i
+        rows.append((b * scale, d, scale * den_g ** (k - 1)))
     return rows
 
 
 @lru_cache(maxsize=None)
-def _integer_polynomial(length: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """Q_length as (L, ((i, j, c), ...)) with c / L the coefficient of
-    (alpha/2)^i gamma^j and L the lcm of the denominators, parsed from the
-    committed table on first use."""
-    terms = []
-    for line in _qtable.Q[length].splitlines():
-        i, j, coefficient = line.split()
-        num, _, den = coefficient.partition("/")
-        terms.append((int(i), int(j), int(num), int(den or 1)))
-    lcm = math.lcm(*(den for _i, _j, _num, den in terms))
-    return lcm, tuple((i, j, num * (lcm // den)) for i, j, num, den in terms)
+def _integer_polynomial(k: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """d_k as (L, ((i, j, c), ...)) with c / L the coefficient of
+    (alpha/2)^i gamma^j, parsed from the committed table on first use."""
+    lcm, lines = _dtable.D[k]
+    values = map(int, lines.split())
+    return lcm, tuple(zip(values, values, values))
 
 
 class MomentTable(NamedTuple):
@@ -213,8 +157,8 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
         raise ValueError(f"k must be >= 1, got {k_max}")
     if k_max > MOMENT_K_MAX:
         raise RuntimeError(
-            f"moment order k={k_max} exceeds {MOMENT_K_MAX}, the top length of the committed "
-            f"Q_l table; scripts/build_qtable.py --max-length builds a longer one"
+            f"moment order k={k_max} exceeds {MOMENT_K_MAX}, the top order of the committed "
+            f"d_k table; scripts/build_dtable.py --max-length builds a longer one"
         )
     rows = _moment_numerators(Fraction(alpha), Fraction(gamma), k_max)
     beta = tuple(b / den for b, _d, den in rows)

@@ -110,8 +110,8 @@ def enumerate_canonical_paths(k: int, r: int, k_max: int = K_MAX) -> Iterator[Pa
         yield tuple(a + 1 for a in rgs)
 
 
-def enumerate_class(k: int, r: int, path_class: PathClass, k_max: int = K_MAX) -> Iterator[Path]:
+def enumerate_class(k: int, r: int, path_class: PathClass) -> Iterator[Path]:
     """Canonical r-paths of length k in one reducibility class."""
-    for path in enumerate_canonical_paths(k, r, k_max):
+    for path in enumerate_canonical_paths(k, r):
         if classify(path) is path_class:
             yield path

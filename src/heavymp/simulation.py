@@ -58,6 +58,15 @@ _T_BLOCK_ROWS = 32
 FOURTH_MOMENT_CHUNK_ROWS = 500
 
 
+def _check_sampling(p: int, n: int, dist: str, alpha: float | None) -> None:
+    if p < 1 or n < 1:
+        raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
+    if dist not in DISTRIBUTIONS:
+        raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
+    if dist != "gaussian" and (alpha is None or not 0.0 < alpha < 2.0):
+        raise ValueError(f"{dist} sampling needs alpha in (0, 2), got {alpha}")
+
+
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
 
@@ -72,12 +81,7 @@ def sample_matrix(
     with no tail truncation.  ``gaussian`` is the light-tailed control.  The
     columns are the panels replicate ``replicate`` draws, copied side by side.
     """
-    if p < 1 or n < 1:
-        raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
-    if dist not in DISTRIBUTIONS:
-        raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
-    if dist != "gaussian" and (alpha is None or not 0.0 < alpha < 2.0):
-        raise ValueError(f"{dist} sampling needs alpha in (0, 2), got {alpha}")
+    _check_sampling(p, n, dist, alpha)
     out = np.empty((p, n))
     start = 0
     for panel in _panels(p, n, dist, alpha, seed, replicate):
@@ -265,12 +269,7 @@ class SimConfig:
     save_eigenvalues: bool = False
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.n < 1:
-            raise ValueError(f"p and n must be >= 1, got p={self.p}, n={self.n}")
-        if self.dist not in DISTRIBUTIONS:
-            raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
-        if self.dist != "gaussian" and (self.alpha is None or not 0 < self.alpha < 2):
-            raise ValueError(f"{self.dist} sampling needs alpha in (0, 2), got {self.alpha}")
+        _check_sampling(self.p, self.n, self.dist, self.alpha)
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.replicates < 1:

@@ -1,14 +1,13 @@
 """Reference implementations that only the tests use.
 
-The exact engine reads the Q_l table, which scripts/build_qtable.py builds
-from a recursion over closed walks on trees, so set partitions, the
-path/partition bijection, the paper's simple-removal sets, the dihedral
-representative, the per-core limit and the paper's path walk (singleton-free
-paths, irreducible classes and the polynomials Q_l summed over them) serve
-here as independent oracles.  The engine sums d_k in integers over one common
-denominator, and the per-k ``Fraction`` sum checks it.  The finite-(p, n)
-moment expectations check the Monte Carlo engine against numbers that carry
-no n -> infinity bias.
+The exact engine reads the table of moment gaps d_k, which
+scripts/build_dtable.py builds from a recursion over closed walks on trees,
+so set partitions, the path/partition bijection, the paper's simple-removal
+sets, the dihedral representative, the per-core limit and the paper's path
+walk (singleton-free paths, irreducible classes, the polynomials Q_l summed
+over them and d_k reassembled from Q_4..Q_k) serve here as independent
+oracles.  The finite-(p, n) moment expectations check the Monte Carlo engine
+against numbers that carry no n -> infinity bias.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator
 
-from heavymp import _qtable
 from heavymp.combinatorics import K_MAX, _check_range, _times_shifts, restricted_growth_strings
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import _check_alpha, _check_gamma
@@ -243,25 +241,53 @@ def limit_pF(i_path: Path, alpha: float, gamma: float) -> float:
     return float(Fraction(gamma) ** (max(i_path) - 1) * value)
 
 
-def heavy_tail_gap_fractions(alpha: Fraction, gamma: Fraction, k: int) -> Fraction:
-    """d_k exactly, for any rational alpha and gamma (alpha = 0 and 2 included),
-    summed term by term in Fractions."""
-    a = alpha / 2
-    total = Fraction(0)
-    for length in range(4, k + 1):
-        q = sum(c * a**i * gamma**j for (i, j), c in irreducible_polynomial(length))
-        for s in range((k - length) // 2 + 1):
-            n = length + 2 * s
-            total += comb(k, n) * comb(n, s) * gamma**s * (1 + gamma) ** (k - n) * q
-    return total
-
-
 @lru_cache(maxsize=None)
 def irreducible_polynomial(length: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    """Q_length as ((i, j), coefficient of (alpha/2)^i gamma^j) items, parsed
-    from the committed table on first use."""
-    rows = (line.split() for line in _qtable.Q[length].splitlines())
-    return tuple(((int(i), int(j)), Fraction(c)) for i, j, c in rows)
+    """Q_length by the path walk as ((i, j), coefficient of (alpha/2)^i gamma^j)
+    items, walked once per length."""
+    return tuple(path_walk_polynomial(length).items())
+
+
+def gap_polynomial(k: int) -> dict[tuple[int, int], Fraction]:
+    """d_k reassembled from the path-walk Q_4..Q_k, {(i, j): coefficient of
+    (alpha/2)^i gamma^j} in sorted order, zeros dropped.
+
+    Deleting the j singleton labels of a path with a non-empty core I leaves a
+    singleton-free path of length m = k - j with the same core and j fewer
+    simple removals.  A singleton-free path of length m whose core I has
+    length l and whose shortening makes s simple removals occurs, for each
+    canonical form of I,
+
+        N(l, m, s) = C(m, l + 2s) C(l + 2s, s)
+
+    times.  Sketch: shortening erases m - l - s runs.  A simple letter x
+    removed from y x y leaves the run y y, so each simple removal is a pair
+    of letters that collapses onto the core, and the s pairs sit among the
+    l + 2s letters that are not plain run letters in C(l + 2s, s) ways.
+    Each of the other m - l - 2s erased letters duplicates a neighbour, and
+    their places among the m positions give C(m, l + 2s).  (The tests check
+    N against a full census of the paths for m <= 12.)  Summing the
+    singleton positions over m, sum_m C(k, m) C(m, n) gamma^(k-m) =
+    C(k, n) (1 + gamma)^(k-n), so
+
+        d_k = sum_l sum_s C(k, l + 2s) C(l + 2s, s) gamma^s (1 + gamma)^(k-l-2s) Q_l.
+    """
+    poly: Counter[tuple[int, int]] = Counter()
+    for length in range(4, k + 1):
+        for s in range((k - length) // 2 + 1):
+            n = length + 2 * s
+            for t in range(k - n + 1):  # gamma^t in (1 + gamma)^(k-n)
+                count = comb(k, n) * comb(n, s) * comb(k - n, t)
+                for (i, j), c in irreducible_polynomial(length):
+                    poly[i, j + s + t] += count * c
+    return {key: c for key, c in sorted(poly.items()) if c}
+
+
+def heavy_tail_gap_fractions(alpha: Fraction, gamma: Fraction, k: int) -> Fraction:
+    """d_k exactly from the path-walk Q_4..Q_k, for any rational alpha and
+    gamma (alpha = 0 and 2 included), summed term by term in Fractions."""
+    a = alpha / 2
+    return sum((c * a**i * gamma**j for (i, j), c in gap_polynomial(k).items()), Fraction(0))
 
 
 def expected_m2(p: int, n: int) -> Fraction:

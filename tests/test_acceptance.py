@@ -183,9 +183,10 @@ def test_criterion_6_monte_carlo_desk_scale():
 @pytest.mark.xfail(
     strict=True,
     reason="the gaussian control carries a deterministic finite-size bias "
-    "(E[m2] = 1 + (p-1)/n exactly, i.e. beta_2 - 1/n) worth about -3 standard "
-    "errors at p=500, n=2500, L=50, so a 3-SE band around the n->infinity "
-    "limit cannot hold; the empirical means do match the finite-n "
+    "(E[m2] = 1 + (p-1)/n exactly, i.e. beta_2 - 1/n) worth about -3.7 standard "
+    "errors at p=500, n=2500, L=50, with a spread of about 1 SE over RNG streams, "
+    "so a 3-SE band around the n->infinity limit fails on this seed's stream and "
+    "holds only on some others; the empirical means do match the finite-n "
     "expectations",
 )
 def test_criterion_6_gaussian_control():

@@ -3,7 +3,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heavymp"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "heavymp"
+# the package's modules by file name, and the scripts by their path from the root
+MODULES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+MODULES |= {f"scripts/{p.name}": p for p in (ROOT / "scripts").glob("*.py")}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -19,11 +23,9 @@ def _unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_import_is_used(module):
-    assert _unused_imports((PACKAGE / module).read_text()) == []
+    assert _unused_imports(MODULES[module].read_text()) == []
 
 
 def test_unused_import_is_caught():

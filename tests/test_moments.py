@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from heavymp import _qtable
+from heavymp import _dtable
 from heavymp.combinatorics import stirling2
 from heavymp.delta_graphs import _tree_walks, build_delta, contributing_sets
 from heavymp.moments import (
@@ -31,6 +31,7 @@ from heavymp.moments import (
 from oracles import (
     core_polynomial,
     dihedral_representative,
+    gap_polynomial,
     heavy_tail_gap_fractions,
     irreducible_classes,
     irreducible_polynomial,
@@ -217,13 +218,21 @@ def test_heavy_moment_matches_unfolded_sum():
             )
 
 
-BUILD_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_qtable.py"
+BUILD_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_dtable.py"
+
+
+@lru_cache(maxsize=None)
+def table_gap(k):
+    """d_k as {(i, j): coefficient of (alpha/2)^i gamma^j}, parsed from the committed table."""
+    lcm, lines = _dtable.D[k]
+    rows = (map(int, line.split()) for line in lines.splitlines())
+    return {(i, j): Fraction(n, lcm) for i, j, n in rows}
 
 
 @pytest.fixture(scope="module")
 def build():
     """The table's build script, loaded as a module."""
-    spec = importlib.util.spec_from_file_location("build_qtable", BUILD_SCRIPT)
+    spec = importlib.util.spec_from_file_location("build_dtable", BUILD_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -231,8 +240,8 @@ def build():
 
 @pytest.fixture(scope="module")
 def built(build):
-    """The builder's mu_0..mu_11 and Q_4..Q_11."""
-    return build.moment_polynomials(11), build.irreducible_polynomials(11)
+    """The build script's mu_0..mu_11 and d_1..d_11."""
+    return build.moment_polynomials(11), build.gap_polynomials(11)
 
 
 def test_path_walk_visits_each_irreducible_path_once(monkeypatch):
@@ -256,7 +265,7 @@ def test_moment_table_walks_no_path(monkeypatch):
     from heavymp import delta_graphs, moments
 
     def no_walk(*args, **kwargs):
-        raise AssertionError("moments read Q_l from the table")
+        raise AssertionError("moments read d_k from the table")
 
     for module, name in ((oracles, "singleton_free_paths"), (oracles, "irreducible_classes"),
                          (oracles, "core_polynomial"), (delta_graphs, "contributing_sets"),
@@ -271,28 +280,32 @@ def test_moment_table_walks_no_path(monkeypatch):
 
 
 def test_table_matches_a_rebuild(built):
-    assert MOMENT_K_MAX == max(_qtable.Q) == 18
-    assert sorted(_qtable.Q) == list(range(4, 19))
+    assert MOMENT_K_MAX == max(_dtable.D) == 18
+    assert sorted(_dtable.D) == list(range(1, 19))
     _mu, table = built
-    assert sorted(table) == list(range(4, 12))
-    for length, poly in table.items():
-        assert poly == dict(irreducible_polynomial(length))
-        assert "".join(f"{i} {j} {c}\n" for (i, j), c in poly.items()) == _qtable.Q[length]
+    assert sorted(table) == list(range(1, 12))
+    for k, poly in table.items():
+        assert poly == table_gap(k)
+        lcm = math.lcm(*(c.denominator for c in poly.values()))
+        lines = "".join(f"{i} {j} {c * lcm}\n" for (i, j), c in poly.items())
+        assert (lcm, lines) == _dtable.D[k]
 
 
 def test_path_walk_matches_the_recursion_and_the_table(built):
+    # d_k reassembled from the path-walk Q_4..Q_k
     _mu, table = built
-    for length in range(4, 12):
-        assert path_walk_polynomial(length) == table[length] == dict(irreducible_polynomial(length))
+    for k in range(1, 12):
+        assert gap_polynomial(k) == table[k] == table_gap(k)
 
 
 @pytest.mark.slow
 @pytest.mark.skipif(
     not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="the path walk visits 12,988,776 paths of length 15 in about 5 min; set HEAVYMP_FULL_SCALE=1",
+    reason="the path walk visits the 15,257,811 irreducible paths of lengths 4..15 in about "
+    "5 min; set HEAVYMP_FULL_SCALE=1",
 )
 def test_path_walk_matches_the_table_at_length15():
-    assert path_walk_polynomial(15) == dict(irreducible_polynomial(15))
+    assert gap_polynomial(15) == table_gap(15)
 
 
 def test_recursion_equals_the_tree_pair_sum(built):
@@ -317,7 +330,7 @@ def test_recursion_equals_the_tree_pair_sum(built):
 
 
 def test_build_script_writes_the_table_prefix():
-    # the script's output for lengths 4..7 (Q_5 is empty) carries the committed entries exactly
+    # the script's output for orders 1..7 (d_1..d_3 are empty) carries the committed entries exactly
     done = subprocess.run(
         [sys.executable, str(BUILD_SCRIPT), "--max-length", "7"],
         capture_output=True, text=True, check=True,
@@ -325,41 +338,40 @@ def test_build_script_writes_the_table_prefix():
     )
     namespace = {}
     exec(done.stdout, namespace)
-    assert namespace["Q"] == {length: _qtable.Q[length] for length in range(4, 8)}
+    assert namespace["D"] == {k: _dtable.D[k] for k in range(1, 8)}
 
 
-def a_polynomial(length, j):
-    """The gamma^j coefficient of Q_length, ascending in a = alpha/2."""
-    coefficients = {i: c for (i, jj), c in irreducible_polynomial(length) if jj == j}
+def a_polynomial(k, j):
+    """The gamma^j coefficient of d_k, ascending in a = alpha/2."""
+    coefficients = {i: c for (i, jj), c in table_gap(k).items() if jj == j}
     return [coefficients.get(i, Fraction(0)) for i in range(max(coefficients, default=-1) + 1)]
 
 
-def test_every_q_is_divisible_by_one_minus_a_squared():
+def test_every_gap_is_divisible_by_one_minus_a_squared():
     # (1 - a)^2 divides a polynomial in a exactly when it and its derivative vanish at a = 1
-    for length in range(4, MOMENT_K_MAX + 1):
-        assert irreducible_polynomial(length) or length == 5
-        for j in {jj for (_i, jj), _c in irreducible_polynomial(length)}:
-            poly = a_polynomial(length, j)
+    for k in range(1, MOMENT_K_MAX + 1):
+        assert bool(table_gap(k)) == (k >= 4)
+        for j in {jj for _i, jj in table_gap(k)}:
+            poly = a_polynomial(k, j)
             assert sum(poly) == 0
             assert sum(i * c for i, c in enumerate(poly)) == 0
 
 
-def test_gamma_one_coefficient_of_q():
-    # the r = 2 cores 1,2,1,2,...: (prod_{j=1}^{m-1} (j - a) / (m-1)!)^2 for length 2m, 0 for odd
-    for length in range(4, MOMENT_K_MAX + 1):
-        poly = a_polynomial(length, 1)
-        if length % 2:
-            assert poly == []
-            continue
-        m = length // 2
-        root = [Fraction(1)]
-        for j in range(1, m):
-            root = [j * c - lower for c, lower in zip(root + [0], [0] + root)]
-        square = [Fraction(0)] * (2 * m - 1)
-        for i, c in enumerate(root):
-            for n, d in enumerate(root):
-                square[i + n] += Fraction(c * d, math.factorial(m - 1) ** 2)
-        assert poly == square
+def test_gamma_one_coefficient_of_the_gap():
+    # only the r = 2 cores 1,2,1,2,... of even length l reach gamma^1, each with
+    # (prod_{j=1}^{l/2-1} (j - a) / (l/2-1)!)^2, and C(k, l) times in d_k
+    for k in range(1, MOMENT_K_MAX + 1):
+        expected = []
+        for length in range(4, k + 1, 2):
+            m = length // 2
+            root = [Fraction(1)]
+            for j in range(1, m):
+                root = [j * c - lower for c, lower in zip(root + [0], [0] + root)]
+            expected += [Fraction(0)] * (2 * m - 1 - len(expected))
+            for i, c in enumerate(root):
+                for n, d in enumerate(root):
+                    expected[i + n] += Fraction(comb(k, length) * c * d, math.factorial(m - 1) ** 2)
+        assert a_polynomial(k, 1) == expected
 
 
 @pytest.mark.parametrize(
@@ -550,12 +562,20 @@ TABLE_POINTS = [(1.0, 0.2), (0.5, 0.1), (0.75, 0.25), (1.25, 0.5),
 RATIONAL_POINTS = [(Fraction(2, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(7, 4))]
 
 
+def table_gap_fractions(alpha, gamma, k):
+    """d_k from the committed table, summed term by term in Fractions."""
+    return sum((c * (alpha / 2) ** i * gamma**j for (i, j), c in table_gap(k).items()), Fraction(0))
+
+
 def test_integer_sum_equals_the_fraction_sum():
+    # the integer pass against the table's Fraction sum for every k, and against
+    # d_k reassembled from the path-walk Q_l for k <= 11
     ks = range(1, MOMENT_K_MAX + 1)
     for alpha, gamma in TABLE_POINTS + RATIONAL_POINTS:
         a, g = Fraction(alpha), Fraction(gamma)
-        gaps = [heavy_tail_gap_fractions(a, g, k) for k in ks]
+        gaps = [table_gap_fractions(a, g, k) for k in ks]
         assert [_heavy_tail_gap_exact(a, g, k) for k in ks] == gaps
+        assert [heavy_tail_gap_fractions(a, g, k) for k in range(1, 12)] == gaps[:11]
         beta = [mp_moment_exact(g, k) for k in ks]
         table = moment_table(alpha, gamma, MOMENT_K_MAX)
         assert table.beta == tuple(map(float, beta))
@@ -563,9 +583,9 @@ def test_integer_sum_equals_the_fraction_sum():
         assert table.mu == tuple(float(b + d) for b, d in zip(beta, gaps))
     for alpha in (Fraction(0), Fraction(2)):
         for gamma in (Fraction(1, 5), Fraction(7, 4)):
-            assert [_heavy_tail_gap_exact(alpha, gamma, k) for k in ks] == [
-                heavy_tail_gap_fractions(alpha, gamma, k) for k in ks
-            ]
+            gaps = [_heavy_tail_gap_exact(alpha, gamma, k) for k in ks]
+            assert gaps == [table_gap_fractions(alpha, gamma, k) for k in ks]
+            assert gaps[:11] == [heavy_tail_gap_fractions(alpha, gamma, k) for k in range(1, 12)]
 
 
 def series_product(x, y):
@@ -583,8 +603,9 @@ def series_compose(coefficients, x):
 
 def test_gap_generating_function():
     # D(z) = sum_k d_k z^k = (1 - (1 + g) z)^-1 (1 - 4 g w^2)^(-1/2) Q(w B(g w^2)),
-    # w = z / (1 - (1 + g) z), B the Catalan generating function, Q(u) = sum_l Q_l u^l
-    size = MOMENT_K_MAX + 1
+    # w = z / (1 - (1 + g) z), B the Catalan generating function, Q(u) = sum_l Q_l u^l,
+    # with the path-walk Q_l, to l = 11
+    size = 12
     central = [comb(2 * m, m) for m in range(size)]  # (1 - 4x)^(-1/2)
     catalan = [c // (m + 1) for m, c in enumerate(central)]
     for alpha, gamma in [(Fraction(1), Fraction(1, 5)), (Fraction(1, 3), Fraction(7, 4)),
@@ -667,8 +688,8 @@ def test_moment_table_holds_the_one_argument_check():
         moment_table(1.0, 0.2, MOMENT_K_MAX + 1)
     assert str(from_table.value) == str(from_moment.value)
     assert str(from_table.value) == (
-        "moment order k=19 exceeds 18, the top length of the committed Q_l table; "
-        "scripts/build_qtable.py --max-length builds a longer one"
+        "moment order k=19 exceeds 18, the top order of the committed d_k table; "
+        "scripts/build_dtable.py --max-length builds a longer one"
     )
     for call in (heavy_mp_moment, heavy_tail_gap, moment_table):
         with pytest.raises(ValueError, match="k must be >= 1"):
