@@ -3,48 +3,46 @@
 Two engines working in tandem:
 
 * an exact engine that evaluates the limiting spectral moments of sample
-  correlation matrices built from infinite-variance data, via set-partition
-  combinatorics, path shortening and bipartite delta graphs;
+  correlation matrices built from infinite-variance data, mu_k = beta_k + d_k,
+  from a committed table of the gaps d_k, polynomials in alpha/2 and gamma
+  that scripts/build_dtable.py builds from a recursion over closed walks on
+  trees;
 * a Monte Carlo engine that simulates such matrices, computes their spectra
   and checks the empirical moments against the exact values.
+
+The public names load their modules on first use, so ``import heavymp`` runs
+no module of the package, and the table builder can import
+``heavymp.combinatorics`` without a loadable d_k table.
 """
 
-from heavymp.combinatorics import bell, count_c0, count_norun_paths, stirling2, stirling2_assoc
-from heavymp.moments import (
-    boundary_modified_poisson,
-    boundary_moment_alpha0,
-    heavy_mp_moment,
-    mp_moment,
-    mp_moment_exact,
-)
+import importlib
 
-# moments and simulation run nothing from heavymp.paths, so its names load it on first use
-_PATH_NAMES = {"PSResult", "PathClass", "canonicalize", "classify", "shorten"}
+# the module of each public name
+_LAZY_NAMES = {
+    "bell": "combinatorics",
+    "count_c0": "combinatorics",
+    "count_norun_paths": "combinatorics",
+    "stirling2": "combinatorics",
+    "stirling2_assoc": "combinatorics",
+    "boundary_modified_poisson": "moments",
+    "boundary_moment_alpha0": "moments",
+    "heavy_mp_moment": "moments",
+    "mp_moment": "moments",
+    "mp_moment_exact": "moments",
+    "PSResult": "paths",
+    "PathClass": "paths",
+    "canonicalize": "paths",
+    "classify": "paths",
+    "shorten": "paths",
+}
 
 
 def __getattr__(name: str) -> object:
-    if name in _PATH_NAMES:
-        from heavymp import paths
-
-        return getattr(paths, name)
+    if name in _LAZY_NAMES:
+        return getattr(importlib.import_module(f"heavymp.{_LAZY_NAMES[name]}"), name)
     raise AttributeError(f"module 'heavymp' has no attribute {name!r}")
 
-__all__ = [
-    "bell",
-    "boundary_modified_poisson",
-    "boundary_moment_alpha0",
-    "canonicalize",
-    "classify",
-    "count_c0",
-    "count_norun_paths",
-    "heavy_mp_moment",
-    "mp_moment",
-    "mp_moment_exact",
-    "PathClass",
-    "PSResult",
-    "shorten",
-    "stirling2",
-    "stirling2_assoc",
-]
+
+__all__ = list(_LAZY_NAMES)
 
 __version__ = "0.1.0"

@@ -64,17 +64,15 @@ def _run_experiment(threads: int | None, **fields) -> simulation.ExperimentRepor
     ``SimConfig`` rejects a bad field with a ValueError, which ``main`` maps
     to exit 1, before any replicate runs.
 
-    Without --threads a run that needs no spectrum takes one replicate thread
-    per usable CPU (``_usable_cores``), at most one per replicate, and a
-    spectrum run takes one: its eigvalsh keeps OpenBLAS's own threads, and
-    replicate threads beside them ran slower.
+    Without --threads a run takes one replicate thread per usable CPU
+    (``_usable_cores``), at most one per replicate: the run keeps OpenBLAS on
+    one thread, so the replicate threads are its only parallelism.
     """
     from heavymp import simulation
 
-    config = simulation.SimConfig(threads=1 if threads is None else threads, **fields)
-    if threads is None and not config.needs_spectrum:
-        config = simulation.SimConfig(threads=min(_usable_cores(), config.replicates), **fields)
-    return simulation.run_experiment(config)
+    if threads is None:
+        threads = min(_usable_cores(), fields["replicates"])
+    return simulation.run_experiment(simulation.SimConfig(threads=threads, **fields))
 
 
 def counts(kmax: int) -> None:
@@ -142,9 +140,9 @@ def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
             "alpha": alpha,
             "gamma": gamma,
             "k_max": kmax,
-            "beta": [float(_fmt(b)) for b in table.beta],
-            "d": [float(_fmt(d)) for d in table.d],
-            "mu": [float(_fmt(m)) for m in table.mu],
+            "beta": [float(b) for b in table.beta],
+            "d": [float(d) for d in table.d],
+            "mu": [float(m) for m in table.mu],
         }
         print(json.dumps(payload, indent=2))
 
@@ -232,8 +230,8 @@ def compare(
         print(
             json.dumps(
                 [
-                    {"k": k, "mu_exact": float(_fmt(mu)), "m_mean": float(_fmt(mean)),
-                     "stderr": float(_fmt(se)), "z": float(_fmt(z))}
+                    {"k": k, "mu_exact": float(mu), "m_mean": float(mean),
+                     "stderr": float(se), "z": float(z)}
                     for k, mu, mean, se, z in rows
                 ],
                 indent=2,
@@ -264,7 +262,7 @@ def _int_range(lo: int, hi: int | None = None) -> Callable[[str], int]:
 
 
 _DEFAULT = " (default: %(default)s)"
-_THREADS_HELP = "replicate threads (default: usable cores up to --replicates; 1 for a spectrum run)"
+_THREADS_HELP = "replicate threads (default: usable cores up to --replicates)"
 
 
 def _build_parser() -> _Parser:

@@ -13,10 +13,10 @@ one reused p x w buffer, and sums the Gram matrix X X' from the panels'
 products X_b X_b'.  ``sample_matrix`` copies the same panels side by side, so
 it returns exactly the draws a replicate uses.
 
-A moments-only run does all its BLAS on one OpenBLAS thread: the replicate
-pool supplies the parallelism, and the Gram product's last bits, which the
-moments show, would otherwise depend on the BLAS thread count.  Runs that
-need a spectrum leave BLAS at its default, where ``eigvalsh`` is faster.
+Every run does all its BLAS and LAPACK on one OpenBLAS thread: the replicate
+pool supplies the parallelism, and the last bits of the Gram product and of
+the spectrum, which the outputs show, would otherwise depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -362,13 +362,14 @@ def run_experiment(config: SimConfig) -> ExperimentReport:
     """Run all replicates and aggregate in replicate-index order.
 
     Replicates are independent streams, so thread count affects runtime only;
-    aggregation order and therefore all floating-point results are fixed.  A
-    run that needs no spectrum sets BLAS to one thread for every ``threads``
-    value, since the Gram's last bits depend on the BLAS thread count; the
-    setter acts on the whole process, so it is set once around all replicates.
+    aggregation order and therefore all floating-point results are fixed.
+    BLAS is set to one thread for every ``threads`` value, since the last
+    bits of the Gram and of ``eigvalsh``'s spectrum depend on the BLAS thread
+    count; the setter acts on the whole process, so it is set once around all
+    replicates.
     """
     indices = range(config.replicates)
-    with contextlib.nullcontext() if config.needs_spectrum else _one_blas_thread():
+    with _one_blas_thread():
         if config.threads == 1:
             samples = tuple(run_replicate(config, j) for j in indices)
         else:
@@ -414,8 +415,8 @@ def _write_report(report: ExperimentReport) -> ExperimentReport:
             "k_max": config.k_max,
             "replicates": config.replicates,
             "seed": config.seed,
-            "mean_moments": [float(_fmt(m)) for m in report.mean_moments],
-            "std_moments": [float(_fmt(m)) for m in report.std_moments],
+            "mean_moments": [float(m) for m in report.mean_moments],
+            "std_moments": [float(m) for m in report.std_moments],
         }
         summary_path = out_dir / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -186,8 +186,8 @@ def test_simulate_default_threads_are_the_usable_cores(tmp_path, monkeypatch, tm
     "extra, expected",
     [
         (("--replicates", "2"), 2),  # no more threads than replicates
-        (("--hist", "10:0:5"), 1),  # spectrum runs leave the cores to BLAS
-        (("--k", "9"), 1),
+        (("--hist", "10:0:5"), 3),  # spectrum runs too
+        (("--k", "9"), 3),
     ],
 )
 def test_simulate_default_threads_cap(tmp_path, monkeypatch, tmp_path_factory, extra, expected):
@@ -202,12 +202,13 @@ def test_simulate_default_threads_cap(tmp_path, monkeypatch, tmp_path_factory, e
 
 def test_compare_default_threads_are_the_usable_cores(monkeypatch, tmp_path_factory):
     threads = _three_usable_cores(monkeypatch, tmp_path_factory)
-    args = ("compare", "--alpha", "1", "--p", "30", "--n", "90", "--kmax", "6",
-            "--replicates", "5", "--seed", "8", "--z-threshold", "1e9")
-    default, one = run(*args), run(*args, "--threads", "1")
-    assert default.exit_code == one.exit_code == 0, default.output
-    assert threads == [3, 1]
-    assert default.output == one.output
+    for kmax in ("6", "9"):  # moments from traces, then from the spectrum
+        args = ("compare", "--alpha", "1", "--p", "30", "--n", "90", "--kmax", kmax,
+                "--replicates", "5", "--seed", "8", "--z-threshold", "1e9")
+        default, one = run(*args), run(*args, "--threads", "1")
+        assert default.exit_code == one.exit_code == 0, default.output
+        assert default.output == one.output
+    assert threads == [3, 1, 3, 1]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import heavymp
 import oracles
 from heavymp import _dtable
 from heavymp.combinatorics import stirling2
@@ -329,16 +331,30 @@ def test_recursion_equals_the_tree_pair_sum(built):
             assert brute == mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
 
 
-def test_build_script_writes_the_table_prefix():
-    # the script's output for orders 1..7 (d_1..d_3 are empty) carries the committed entries exactly
+def built_prefix(pythonpath):
+    """The table the build script writes for orders 1..7, run on ``pythonpath``."""
     done = subprocess.run(
         [sys.executable, str(BUILD_SCRIPT), "--max-length", "7"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     namespace = {}
     exec(done.stdout, namespace)
-    assert namespace["D"] == {k: _dtable.D[k] for k in range(1, 8)}
+    return namespace["D"]
+
+
+def test_build_script_writes_the_table_prefix():
+    # the script's output for orders 1..7 (d_1..d_3 are empty) carries the committed entries exactly
+    assert built_prefix(os.pathsep.join(sys.path)) == {k: _dtable.D[k] for k in range(1, 8)}
+
+
+def test_build_script_needs_no_committed_table(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(Path(heavymp.__file__).parent, src / "heavymp")
+    table = src / "heavymp" / "_dtable.py"
+    table.write_text("D = {}\n")
+    assert built_prefix(str(src)) == {k: _dtable.D[k] for k in range(1, 8)}
+    table.unlink()
+    assert built_prefix(str(src)) == {k: _dtable.D[k] for k in range(1, 8)}
 
 
 def a_polynomial(k, j):
