@@ -381,24 +381,32 @@ def _record_blas_threads(monkeypatch):
     return seen
 
 
-def test_every_run_pins_blas_and_restores_it(blas_two_threads, monkeypatch):
+def test_moments_only_run_pins_blas_and_restores_it(blas_two_threads, monkeypatch):
     seen = _record_blas_threads(monkeypatch)
-    base = dict(p=20, n=60, dist="t", alpha=1.0, seed=6)
-    configs = [
-        SimConfig(**base, k_max=4, replicates=2),
-        SimConfig(**base, k_max=4, replicates=1, hist=(10, 0.0, 5.0)),
-        SimConfig(**base, k_max=4, replicates=1, save_eigenvalues=True),
-        SimConfig(**base, k_max=TRACE_K_CUT, replicates=1),
-    ]
-    assert [config.needs_spectrum for config in configs] == [False, True, True, True]
-    for config in configs:
-        run_experiment(config)
-        assert _blas_threads() == 2
-    assert seen == [1] * 5
+    base = dict(p=20, n=60, dist="t", alpha=1.0, k_max=4, replicates=2, seed=6)
+    assert not SimConfig(**base).needs_spectrum
+    run_experiment(SimConfig(**base))
+    assert seen == [1, 1]
+    assert _blas_threads() == 2
     overflow = SimConfig(p=50, n=2000, dist="pareto", alpha=0.02, k_max=3, replicates=2, seed=3)
     with pytest.raises(ArithmeticError, match="alpha=0.02"):
         run_experiment(overflow)
     assert _blas_threads() == 2
+
+
+def test_spectrum_run_pins_blas_and_restores_it(blas_two_threads, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=6)
+    for extra in (
+        dict(k_max=4, hist=(10, 0.0, 5.0)),
+        dict(k_max=4, save_eigenvalues=True),
+        dict(k_max=TRACE_K_CUT),
+    ):
+        config = SimConfig(**base, **extra)
+        assert config.needs_spectrum
+        run_experiment(config)
+        assert _blas_threads() == 2
+    assert seen == [1, 1, 1]
 
 
 def test_spectrum_run_independent_of_the_blas_thread_count(tmp_path):
