@@ -329,7 +329,7 @@ def _build_parser() -> _Parser:
     add("--p", type=int, default=500, help="rows" + _DEFAULT)
     add("--n", type=_int_range(1), default=2500, help="columns, at least 1" + _DEFAULT)
     add("--dist", choices=DISTRIBUTIONS, default="t", help="entry distribution" + _DEFAULT)
-    add("--replicates", type=int, default=50, help="replicates" + _DEFAULT)
+    add("--replicates", type=_int_range(2), default=50, help="replicates, at least 2" + _DEFAULT)
     add("--seed", type=int, default=0, help="master seed" + _DEFAULT)
     add("--threads", type=int, default=None, help=_THREADS_HELP)
     add("--z-threshold", type=float, default=4.0, help="largest |z| that passes" + _DEFAULT)

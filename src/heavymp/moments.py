@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from heavymp import _dtable
-from heavymp.combinatorics import _times_shifts, count_c0, stirling2
+from heavymp.combinatorics import count_c0, stirling2
 
 # int, Fraction or str; a float is taken at its exact binary value, so pass a
 # str or Fraction for decimal-exact gammas
@@ -58,23 +57,6 @@ def mp_moment_exact(gamma: RationalLike, k: int) -> Fraction:
 def mp_moment(gamma: float, k: int) -> float:
     _check_gamma(gamma)
     return float(mp_moment_exact(gamma, k))
-
-
-def self_normalized_moment_limit(k_parts: Sequence[int], alpha: float) -> float:
-    """Limit of C(n, r) E[Y_11^(2k_1) ... Y_1r^(2k_r)] for row-normalized data.
-
-    Equals (a/2)^(r-1) prod_j Gamma(k_j - a/2) / (r Gamma(1 - a/2)^r Gamma(k))
-    with k = sum k_j and a the tail index, evaluated exactly.
-    """
-    _check_alpha(alpha)
-    if not k_parts or any(kj < 1 for kj in k_parts):
-        raise ValueError(f"k_parts must be non-empty positive integers, got {k_parts}")
-    r = len(k_parts)
-    poly = [0] * (r - 1) + [1]
-    for kj in k_parts:
-        poly = _times_shifts(poly, kj)
-    a = Fraction(alpha) / 2
-    return float(sum(c * a**i for i, c in enumerate(poly)) / (r * factorial(sum(k_parts) - 1)))
 
 
 def heavy_mp_moment(alpha: float, gamma: float, k: int) -> float:

@@ -7,11 +7,12 @@ is needed), and aggregates replicates reproducibly: replicate j draws from a
 stream spawned from the master seed, so results are independent of how
 replicates are scheduled.
 
-A replicate holds at most ``_PANEL_COLUMNS`` columns of its p x n sample at
-once.  It draws the sample as column panels, left to right, each in place in
-one reused p x w buffer, and sums the Gram matrix X X' from the panels'
-products X_b X_b'.  ``sample_matrix`` copies the same panels side by side, so
-it returns exactly the draws a replicate uses.
+Each stage has one implementation, the one ``run_replicate`` runs:
+``_panels`` samples, ``_correlation`` forms R, and ``trace_moments`` or
+eigvalsh gives the moments.  A replicate holds at most ``_PANEL_COLUMNS``
+columns of its p x n sample at once.  It draws the sample as column panels,
+left to right, each in place in one reused p x w buffer, and sums the Gram
+matrix X X' from the panels' products X_b X_b'.
 
 Every run does all its BLAS and LAPACK on one OpenBLAS thread: the replicate
 pool supplies the parallelism, and the last bits of the Gram product and of
@@ -53,49 +54,20 @@ _PANEL_COLUMNS = 2500
 # is small beside the panel.
 _T_BLOCK_ROWS = 32
 
-# Rows drawn at once by ``self_normalized_fourth_moment``: 500 rows of 10^4
-# draws hold 40 MB.
-FOURTH_MOMENT_CHUNK_ROWS = 500
-
-
-def _check_sampling(p: int, n: int, dist: str, alpha: float | None) -> None:
-    if p < 1 or n < 1:
-        raise ValueError(f"p and n must be >= 1, got p={p}, n={n}")
-    if dist not in DISTRIBUTIONS:
-        raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
-    if dist != "gaussian" and (alpha is None or not 0.0 < alpha < 2.0):
-        raise ValueError(f"{dist} sampling needs alpha in (0, 2), got {alpha}")
-
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
 
 
-def sample_matrix(
-    p: int, n: int, dist: str, seed: int, alpha: float | None = None, replicate: int = 0
-) -> np.ndarray:
-    """Draw a p x n matrix of iid symmetric entries.
-
-    ``t`` and ``pareto`` require a tail index alpha in (0, 2) and sample the
-    exact laws (Student t with alpha degrees of freedom; sign * U^(-1/alpha))
-    with no tail truncation.  ``gaussian`` is the light-tailed control.  The
-    columns are the panels replicate ``replicate`` draws, copied side by side.
-    """
-    _check_sampling(p, n, dist, alpha)
-    out = np.empty((p, n))
-    start = 0
-    for panel in _panels(p, n, dist, alpha, seed, replicate):
-        out[:, start : start + panel.shape[1]] = panel
-        start += panel.shape[1]
-    return out
-
-
 def _panels(p: int, n: int, dist: str, alpha: float | None, seed: int, replicate: int):
     """Yield the p x n sample of replicate ``replicate`` as column panels, left to right.
 
-    Every panel is drawn in place in one buffer, so a panel is overwritten
-    when the next one is drawn.  Each panel is C-contiguous: a panel of width
-    w is the first p * w entries of the buffer.
+    The entries are iid symmetric: ``t`` and ``pareto`` sample the exact laws
+    (Student t with alpha degrees of freedom; sign * U^(-1/alpha)) with no
+    tail truncation, and ``gaussian`` is the light-tailed control.  Every
+    panel is drawn in place in one buffer, so a panel is overwritten when
+    the next one is drawn.  Each panel is C-contiguous: a panel of width w
+    is the first p * w entries of the buffer.
     """
     rng = _replicate_rng(seed, replicate)
     count = -(-n // _PANEL_COLUMNS)
@@ -158,20 +130,8 @@ def _pareto(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.ndarr
     return np.copysign(out, signs, out=out)
 
 
-def correlation_matrix(data: np.ndarray) -> np.ndarray:
-    """R = Y Y' with rows of the data normalized to unit Euclidean norm.
-
-    R is the Gram matrix G = X X' scaled by 1 / (|x_i| |x_j|), formed as
-    ``run_replicate`` forms it from one panel.
-    """
-    data = np.ascontiguousarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {data.shape}")
-    return _correlation([data])
-
-
 def _correlation(panels) -> np.ndarray:
-    """R from the column panels X_b of the data: G = sum_b X_b X_b', then scaled.
+    """R = Y Y' from the column panels X_b of the data: G = sum_b X_b X_b', then scaled.
 
     BLAS forms each X_b X_b' as a symmetric rank-k update; the first is
     written straight into G and each later one into a spare p x p buffer
@@ -232,14 +192,6 @@ def empirical_moments(eigenvalues: np.ndarray, k_max: int) -> np.ndarray:
     return powers.mean(axis=0)
 
 
-def esd_histogram(
-    eigenvalues: np.ndarray, bins: int, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized histogram of the spectrum (integrates to 1 over [lo, hi])."""
-    densities, edges = np.histogram(eigenvalues, bins=bins, range=(lo, hi), density=True)
-    return densities, edges
-
-
 @dataclass(frozen=True)
 class SpectralSample:
     """One simulated replicate: empirical moments and, when computed, the spectrum.
@@ -269,7 +221,12 @@ class SimConfig:
     save_eigenvalues: bool = False
 
     def __post_init__(self) -> None:
-        _check_sampling(self.p, self.n, self.dist, self.alpha)
+        if self.p < 1 or self.n < 1:
+            raise ValueError(f"p and n must be >= 1, got p={self.p}, n={self.n}")
+        if self.dist not in DISTRIBUTIONS:
+            raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
+        if self.dist != "gaussian" and (self.alpha is None or not 0.0 < self.alpha < 2.0):
+            raise ValueError(f"{self.dist} sampling needs alpha in (0, 2), got {self.alpha}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.replicates < 1:
@@ -383,7 +340,7 @@ def run_experiment(config: SimConfig) -> ExperimentReport:
     if config.hist is not None:
         bins, lo, hi = config.hist
         pooled = np.concatenate([s.eigenvalues for s in samples])
-        hist_densities, hist_edges = esd_histogram(pooled, bins, lo, hi)
+        hist_densities, hist_edges = np.histogram(pooled, bins=bins, range=(lo, hi), density=True)
 
     written: tuple[FilePath, ...] = ()
     report = ExperimentReport(config, samples, mean, std, hist_densities, hist_edges, written)
@@ -440,27 +397,3 @@ def _write_report(report: ExperimentReport) -> ExperimentReport:
         raise OSError(f"failed writing experiment output under {out_dir}: {exc}") from exc
 
     return replace(report, written=tuple(written))
-
-
-def self_normalized_fourth_moment(alpha: float, n: int, rows: int, seed: int) -> float:
-    """Monte Carlo estimate of n * E[Y^4] for row-self-normalized Pareto entries.
-
-    Averages Y^4 over all entries of ``rows`` independent rows of length n
-    (per-row averages are far less noisy than the first entry alone, and the
-    expectation is the same by exchangeability).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total = 0.0
-    done = 0
-    while done < rows:
-        m = min(FOURTH_MOMENT_CHUNK_ROWS, rows - done)
-        # signs drop out after squaring, so sample X^2 = U^(-2/alpha) only,
-        # with U uniform on (0, 1] as in ``_pareto``
-        x2 = rng.random((m, n))
-        np.subtract(1.0, x2, out=x2)
-        x2 **= -2.0 / alpha
-        # per row, sum Y^4 = sum X^4 / (sum X^2)^2
-        s = x2.sum(axis=1)
-        total += (np.einsum("ij,ij->i", x2, x2) / (s * s)).sum()
-        done += m
-    return total / rows

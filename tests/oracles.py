@@ -7,7 +7,9 @@ sets, the dihedral representative, the per-core limit and the paper's path
 walk (singleton-free paths, irreducible classes, the polynomials Q_l summed
 over them and d_k reassembled from Q_4..Q_k) serve here as independent
 oracles.  The finite-(p, n) moment expectations check the Monte Carlo engine
-against numbers that carry no n -> infinity bias.
+against numbers that carry no n -> infinity bias.  The engine's own column
+panels, copied side by side, give a replicate's whole sample, and a
+correlation matrix formed without the engine's Gram checks the engine's.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator
 
+import numpy as np
+
+from heavymp import simulation
 from heavymp.combinatorics import K_MAX, _check_range, _times_shifts, restricted_growth_strings
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import _check_alpha, _check_gamma
@@ -301,3 +306,39 @@ def expected_m2(p: int, n: int) -> Fraction:
 def expected_m3(p: int, n: int) -> Fraction:
     """E m_3 = E (1/p) tr R^3 for iid symmetric entries, at finite p and n."""
     return 1 + Fraction(3 * (p - 1), n) + Fraction((p - 1) * (p - 2), n * n)
+
+
+def sample(
+    p: int, n: int, dist: str, seed: int, alpha: float | None = None, replicate: int = 0
+) -> np.ndarray:
+    """The p x n sample of replicate ``replicate``: the engine's column
+    panels, copied side by side."""
+    panels = simulation._panels(p, n, dist, alpha, seed, replicate)
+    return np.hstack([panel.copy() for panel in panels])
+
+
+def reference_correlation(data: np.ndarray) -> np.ndarray:
+    """R = Y Y' formed apart from the engine: each row divided by its norm, then one product."""
+    rows = data / np.linalg.norm(data, axis=1, keepdims=True)
+    return rows @ rows.T
+
+
+def self_normalized_fourth_moment(alpha: float, n: int, rows: int, seed: int) -> float:
+    """Monte Carlo estimate of n E[Y^4] for row-self-normalized Pareto entries.
+
+    The rows are drawn 500 at a time by the engine's sampler, block j as
+    replicate j of the seed, and each row's sum_t Y_t^4 = sum_t X_t^4 /
+    (sum_t X_t^2)^2 is summed over the row's column panels.  The mean of
+    these sums over ``rows`` rows estimates n E[Y^4], and is far less noisy
+    than n Y_1^4 alone.
+    """
+    total = 0.0
+    for block, start in enumerate(range(0, rows, 500)):
+        m = min(500, rows - start)
+        sum_x2, sum_x4 = np.zeros(m), np.zeros(m)
+        for panel in simulation._panels(m, n, "pareto", alpha, seed, block):
+            np.square(panel, out=panel)  # the buffer is redrawn for the next panel
+            sum_x2 += panel.sum(axis=1)
+            sum_x4 += np.einsum("ij,ij->i", panel, panel)
+        total += (sum_x4 / (sum_x2 * sum_x2)).sum()
+    return total / rows

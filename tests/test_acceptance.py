@@ -231,8 +231,8 @@ def test_criterion_7_property_suites():
         ok = ok and sample.eigenvalues.min() >= -1e-8 * np.abs(sample.eigenvalues).max()
 
     for alpha in (0.5, 1.0, 1.5):
-        est = simulation.self_normalized_fourth_moment(
-            alpha, n=10**4, rows=10**5, seed=31 + int(10 * alpha)
+        est = oracles.self_normalized_fourth_moment(
+            alpha, n=10**4, rows=10**4, seed=31 + int(10 * alpha)
         )
         rel = abs(est - (1 - alpha / 2)) / (1 - alpha / 2)
         details.append(f"a={alpha}:rel={rel:.3f}")

@@ -359,6 +359,9 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
         (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
           "--hist", "10:0"], "--hist must be BINS:LO:HI"),
         (["simulate", "--dist", "t", "--p", "20", "--n", "60"], "t sampling needs alpha in (0, 2)"),
+        # one replicate has no stderr, so every z would read 0 and pass
+        (["compare", "--alpha", "1", "--p", "40", "--n", "200", "--dist", "pareto", "--kmax", "4",
+          "--replicates", "1", "--seed", "3", "--z-threshold", "0.01"], "--replicates"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(

@@ -28,7 +28,6 @@ from heavymp.moments import (
     moment_table,
     mp_moment,
     mp_moment_exact,
-    self_normalized_moment_limit,
 )
 from oracles import (
     core_polynomial,
@@ -65,44 +64,6 @@ def test_mp_moment_errors():
         mp_moment(0.0, 2)
     with pytest.raises(ValueError):
         mp_moment(0.2, 0)
-
-
-def test_self_normalized_fourth_moment_limit():
-    for alpha in (0.3, 1.0, 1.7):
-        assert self_normalized_moment_limit([2], alpha) == pytest.approx(1 - alpha / 2, rel=1e-12)
-
-
-def test_self_normalized_first_moment_is_one():
-    for alpha in (0.5, 1.0, 1.5):
-        assert self_normalized_moment_limit([1], alpha) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_self_normalized_closed_form_alpha1():
-    # Gamma(5/2) / (Gamma(1/2) Gamma(3)) = 3/8
-    assert self_normalized_moment_limit([3], 1.0) == pytest.approx(3 / 8, rel=1e-12)
-
-
-def test_self_normalized_gamma_validation():
-    # the exact product against (a/2)^(r-1) prod_j Gamma(k_j - a/2) / (r Gamma(1 - a/2)^r Gamma(k))
-    for k_parts in ([1], [2], [5], [1, 1], [2, 3], [1, 2, 4], [3, 3, 1, 2]):
-        r, k = len(k_parts), sum(k_parts)
-        for alpha in (0.1, 0.5, 1.0, 1.5, 1.9):
-            a = alpha / 2
-            expected = (
-                a ** (r - 1)
-                * math.prod(math.gamma(kj - a) for kj in k_parts)
-                / (r * math.gamma(1 - a) ** r * math.gamma(k))
-            )
-            assert self_normalized_moment_limit(k_parts, alpha) == pytest.approx(expected, rel=1e-12)
-
-
-def test_self_normalized_errors():
-    with pytest.raises(ValueError):
-        self_normalized_moment_limit([2], 2.0)
-    with pytest.raises(ValueError):
-        self_normalized_moment_limit([], 1.0)
-    with pytest.raises(ValueError):
-        self_normalized_moment_limit([0, 2], 1.0)
 
 
 def test_limit_pF_1212_closed_form():

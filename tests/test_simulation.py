@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 
@@ -9,55 +10,60 @@ from heavymp import simulation
 from heavymp.simulation import (
     TRACE_K_CUT,
     SimConfig,
+    _correlation,
     _pareto,
     _student_t,
-    correlation_matrix,
     empirical_moments,
-    esd_histogram,
     run_experiment,
     run_replicate,
-    sample_matrix,
-    self_normalized_fourth_moment,
     trace_moments,
 )
-from oracles import expected_m2, expected_m3
+from oracles import (
+    expected_m2,
+    expected_m3,
+    reference_correlation,
+    sample,
+    self_normalized_fourth_moment,
+)
 
 
 def test_sample_matrix_deterministic():
-    a = sample_matrix(2, 3, "gaussian", seed=42)
-    b = sample_matrix(2, 3, "gaussian", seed=42)
+    a = sample(2, 3, "gaussian", seed=42)
+    b = sample(2, 3, "gaussian", seed=42)
     assert np.array_equal(a, b)
-    c = sample_matrix(2, 3, "gaussian", seed=43)
+    c = sample(2, 3, "gaussian", seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_sample_matrix_replicates_differ():
-    a = sample_matrix(2, 3, "t", seed=1, alpha=1.0, replicate=0)
-    b = sample_matrix(2, 3, "t", seed=1, alpha=1.0, replicate=1)
+    a = sample(2, 3, "t", seed=1, alpha=1.0, replicate=0)
+    b = sample(2, 3, "t", seed=1, alpha=1.0, replicate=1)
     assert not np.array_equal(a, b)
 
 
 def test_sample_matrix_validation():
-    with pytest.raises(ValueError):
-        sample_matrix(0, 3, "gaussian", seed=1)
-    with pytest.raises(ValueError):
-        sample_matrix(2, 3, "cauchy", seed=1)
-    with pytest.raises(ValueError):
-        sample_matrix(2, 3, "t", seed=1, alpha=2.5)
-    with pytest.raises(ValueError):
-        sample_matrix(2, 3, "pareto", seed=1)  # alpha missing
+    # the sampler takes its arguments from a SimConfig, which checks them
+    base = dict(p=2, n=3, k_max=2, replicates=1, seed=1)
+    for bad in (
+        dict(dist="gaussian", alpha=None, p=0),
+        dict(dist="cauchy", alpha=1.0),
+        dict(dist="t", alpha=2.5),
+        dict(dist="pareto", alpha=None),
+    ):
+        with pytest.raises(ValueError):
+            SimConfig(**{**base, **bad})
 
 
 def test_cauchy_tail_probability():
     # t(1) is Cauchy: P(|X| > 10) = 2 arctan(1/10) / pi ~ 2/(10 pi)
-    draws = sample_matrix(1, 10**6, "t", seed=7, alpha=1.0)[0]
+    draws = sample(1, 10**6, "t", seed=7, alpha=1.0)[0]
     empirical = np.mean(np.abs(draws) > 10)
     expected = 2 / np.pi * np.arctan(1 / 10)
     assert abs(empirical - expected) / expected < 0.05
 
 
 def test_pareto_symmetry():
-    draws = sample_matrix(1, 200_000, "pareto", seed=11, alpha=0.5)[0]
+    draws = sample(1, 200_000, "pareto", seed=11, alpha=0.5)[0]
     assert np.all(np.abs(draws) >= 1.0)
     # median of the symmetrized law is 0; sign frequency is binomial(1/2)
     frac_positive = np.mean(draws > 0)
@@ -90,7 +96,7 @@ def _assert_matches_standard_t(draws, alpha):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.7, 1.99])
 def test_t_sampler_matches_standard_t(alpha):
-    _assert_matches_standard_t(sample_matrix(1, 50_000, "t", seed=21, alpha=alpha), alpha)
+    _assert_matches_standard_t(sample(1, 50_000, "t", seed=21, alpha=alpha), alpha)
 
 
 def test_t_sampler_ragged_last_block():
@@ -98,7 +104,7 @@ def test_t_sampler_ragged_last_block():
     # one row, so a row or column the block and panel loops skipped or filled
     # twice would show as a step in the pooled CDF
     p, n = simulation._T_BLOCK_ROWS + 1, simulation._PANEL_COLUMNS + 1
-    _assert_matches_standard_t(sample_matrix(p, n, "t", seed=22, alpha=0.8), 0.8)
+    _assert_matches_standard_t(sample(p, n, "t", seed=22, alpha=0.8), 0.8)
 
 
 @pytest.mark.slow
@@ -109,7 +115,7 @@ def test_t_sampler_ragged_last_block():
 def test_t_sampler_large_sample_oracle():
     shape = (1000, 10**4)
     for alpha in (0.3, 1.0, 1.7):
-        draws = sample_matrix(*shape, "t", seed=31, alpha=alpha)
+        draws = sample(*shape, "t", seed=31, alpha=alpha)
         _assert_matches_standard_t(draws, alpha)
         if alpha == 1.0:
             # t(1) is Cauchy: P(|X| > c) = 2 arctan(1/c) / pi
@@ -148,7 +154,7 @@ def test_replicate_peak_memory_does_not_grow_with_n():
 
 def test_pareto_tail_law():
     alpha = 0.7
-    magnitudes = np.abs(sample_matrix(1, 200_000, "pareto", seed=5, alpha=alpha)[0])
+    magnitudes = np.abs(sample(1, 200_000, "pareto", seed=5, alpha=alpha)[0])
     assert np.all(np.isfinite(magnitudes))
     for x in (1.5, 4.0, 30.0, 500.0):
         expected = x**-alpha  # P(|X| > x)
@@ -201,15 +207,15 @@ def test_t_overflow_at_zero_angle_is_nan_and_caught():
     draws = _student_t(tiny_w, 0.02, np.empty((2, 3)))
     assert np.all(np.isnan(draws))
     with pytest.raises(ArithmeticError, match="row 0 has squared norm nan"):
-        correlation_matrix(draws)
+        _correlation([draws])
 
 
 def test_correlation_matrix_overflow_names_row():
     with pytest.raises(ArithmeticError, match="row 1"):
-        correlation_matrix(np.array([[1.0, 2.0], [1e200, 1.0]]))
+        _correlation([np.array([[1.0, 2.0], [1e200, 1.0]])])
     # an overflow in a later panel survives the sum of the panel products
     with pytest.raises(ArithmeticError, match="row 1 has squared norm inf"):
-        simulation._correlation([np.ones((2, 3)), np.array([[1.0], [1e200]])])
+        _correlation([np.ones((2, 3)), np.array([[1.0], [1e200]])])
 
 
 def test_overflow_in_a_multi_panel_replicate_names_row_and_alpha():
@@ -222,13 +228,14 @@ def test_overflow_in_a_multi_panel_replicate_names_row_and_alpha():
 
 @pytest.mark.parametrize("dist, alpha", [("t", 1.0), ("pareto", 0.5), ("gaussian", None)])
 def test_streamed_replicate_matches_the_sample_matrix_oracle(dist, alpha):
-    # three panels of uneven width; the oracle forms R from the whole p x n
-    # sample in one product, the replicate sums three panel products
+    # three panels of uneven width; the oracle normalizes the rows of the
+    # whole p x n sample and forms R in one product, the replicate sums
+    # three panel products and then scales them
     p, n = 30, 2 * simulation._PANEL_COLUMNS + 3
     widths = [panel.shape[1] for panel in simulation._panels(p, n, dist, alpha, 4, 2)]
     assert widths == [n // 3 + 1] * (n % 3) + [n // 3] * (3 - n % 3)
-    oracle = correlation_matrix(sample_matrix(p, n, dist, seed=4, alpha=alpha, replicate=2))
-    corr = simulation._correlation(simulation._panels(p, n, dist, alpha, 4, 2))
+    oracle = reference_correlation(sample(p, n, dist, seed=4, alpha=alpha, replicate=2))
+    corr = _correlation(simulation._panels(p, n, dist, alpha, 4, 2))
     assert np.array_equal(corr, corr.T)
     assert np.array_equal(np.diag(corr), np.ones(p))
     assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
@@ -238,9 +245,22 @@ def test_streamed_replicate_matches_the_sample_matrix_oracle(dist, alpha):
         assert np.allclose(run_replicate(config, 2).moments, expected, rtol=1e-12, atol=0)
 
 
+def test_reference_correlation_is_the_matrix_of_row_cosines():
+    # each sample is drawn in three panels and copied side by side; the
+    # cosines are summed with one rounding each
+    p, n = 4, 2 * simulation._PANEL_COLUMNS + 3
+    for dist, alpha in (("t", 1.0), ("pareto", 0.5), ("gaussian", None)):
+        data = sample(p, n, dist, seed=6, alpha=alpha)
+        cosines = [
+            [math.fsum(x * y) / math.sqrt(math.fsum(x * x) * math.fsum(y * y)) for y in data]
+            for x in data
+        ]
+        assert np.allclose(reference_correlation(data), cosines, rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("p, n", [(40, 200), (30, 10)])
 def test_trace_moments_match_spectrum(p, n):
-    corr = correlation_matrix(sample_matrix(p, n, "t", seed=8, alpha=1.0))
+    corr = _correlation(simulation._panels(p, n, "t", 1.0, 8, 0))
     spectrum = np.linalg.eigvalsh(corr)
     for k_max in range(1, 13):
         expected = empirical_moments(spectrum, k_max)
@@ -249,7 +269,7 @@ def test_trace_moments_match_spectrum(p, n):
 
 def test_eigenvalues_kept_exactly_when_needed():
     base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=3)
-    spectrum = np.linalg.eigvalsh(correlation_matrix(sample_matrix(20, 60, "t", seed=3, alpha=1.0)))
+    spectrum = np.linalg.eigvalsh(_correlation(simulation._panels(20, 60, "t", 1.0, 3, 0)))
     trace_only = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
     assert trace_only.eigenvalues is None
     for extra in (
@@ -266,23 +286,23 @@ def test_eigenvalues_kept_exactly_when_needed():
 def test_correlation_matrix_unit_diagonal():
     # exactly symmetric with an exactly unit diagonal, for every sampler
     for dist, alpha in (("t", 1.0), ("pareto", 0.5), ("gaussian", None)):
-        corr = correlation_matrix(sample_matrix(60, 300, dist, seed=3, alpha=alpha))
+        corr = _correlation(simulation._panels(60, 300, dist, alpha, 3, 0))
         assert np.array_equal(corr, corr.T)
         assert np.array_equal(np.diag(corr), np.ones(60))
 
 
 def test_correlation_matrix_orthogonal_rows():
-    corr = correlation_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    corr = _correlation([np.array([[1.0, 0.0], [0.0, 1.0]])])
     assert np.allclose(corr, np.eye(2))
 
 
 def test_correlation_matrix_p1():
-    assert np.allclose(correlation_matrix(np.array([[3.0, 4.0]])), [[1.0]])
+    assert np.allclose(_correlation([np.array([[3.0, 4.0]])]), [[1.0]])
 
 
 def test_correlation_matrix_zero_row():
     with pytest.raises(ValueError, match="row 1"):
-        correlation_matrix(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        _correlation([np.array([[1.0, 2.0], [0.0, 0.0]])])
 
 
 def test_empirical_moments_basic():
@@ -292,10 +312,16 @@ def test_empirical_moments_basic():
 
 
 def test_esd_histogram_normalized():
-    vals = np.linspace(0, 2, 500)
-    densities, edges = esd_histogram(vals, 20, 0.0, 2.0)
-    widths = np.diff(edges)
-    assert np.sum(densities * widths) == pytest.approx(1.0)
+    # the spectrum of R lies in [0, p], inside [lo, hi], so the pooled
+    # histogram integrates to 1 and each bin holds a whole number of the
+    # p * replicates eigenvalues
+    config = SimConfig(p=10, n=30, dist="t", alpha=1.0, k_max=2, replicates=3, seed=4,
+                       hist=(20, -1.0, 11.0))
+    report = run_experiment(config)
+    mass = report.hist_densities * np.diff(report.hist_edges)
+    assert np.sum(mass) == pytest.approx(1.0)
+    counts = mass * config.p * config.replicates
+    assert np.allclose(counts, np.round(counts), rtol=0, atol=1e-9)
 
 
 def test_replicate_invariants():
@@ -509,14 +535,14 @@ def test_gaussian_fourth_moment_decays():
 
 
 def test_self_normalized_fourth_moment_small():
-    # quick version of the tail-index law n E[Y^4] -> 1 - alpha/2
+    # quick version of the tail-index law n E[Y^4] -> 1 - alpha/2, on the
+    # engine's Pareto sampler
     for alpha in (0.5, 1.5):
         est = self_normalized_fourth_moment(alpha, n=2000, rows=4000, seed=17)
         assert est == pytest.approx(1 - alpha / 2, rel=0.1)
 
 
 def test_self_normalized_fourth_moment_zero_uniform_is_finite(monkeypatch):
-    zeros = _ZeroUniforms()
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: zeros)
+    monkeypatch.setattr(simulation, "_replicate_rng", lambda seed, replicate: _ZeroUniforms())
     # every X^2 is 1, so each row of n entries has sum Y^4 = n / n^2
     assert self_normalized_fourth_moment(0.5, n=8, rows=3, seed=0) == pytest.approx(1 / 8)
