@@ -6,7 +6,9 @@ The engines check their own arguments: ``main`` maps the ValueError of a
 rejected argument to 1, an ArithmeticError to 2 and an OSError to 3, so the
 CLI repeats none of their checks.  The parser raises its usage errors as
 ValueErrors too, so they exit 1, not with argparse's 2.  All commands are
-deterministic given their flags (and seed).
+deterministic given their flags (and seed).  ``simulate`` and ``compare`` pass
+--threads to the engine as given: without it, the engine picks the replicate
+thread count.
 
 The parser is built once, at import, on the standard library's argparse, so
 a call only parses.  Only ``simulate`` and ``compare`` import the Monte Carlo
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path as FilePath
 from typing import TYPE_CHECKING, Callable, NoReturn
@@ -28,10 +29,7 @@ from heavymp import combinatorics, moments
 from heavymp._common import DISTRIBUTIONS, _fmt
 
 if TYPE_CHECKING:
-    from heavymp import paths, simulation
-
-# cgroup v2's CPU limit, "<quota> <period>" in microseconds or "max <period>"
-_CPU_MAX = FilePath("/sys/fs/cgroup/cpu.max")
+    from heavymp import paths
 
 
 def _parse_path(text: str, flag: str) -> paths.Path:
@@ -42,37 +40,6 @@ def _parse_path(text: str, flag: str) -> paths.Path:
     if not values or any(v < 1 for v in values):
         raise ValueError(f"{flag} must be positive integers, got {text!r}")
     return values
-
-
-def _usable_cores() -> int:
-    """CPUs the process may run on, at most ceil(quota / period) under a CPU quota.
-
-    A ``max`` quota, or a cpu.max that is missing or unreadable, adds no cap.
-    """
-    # no affinity mask on macOS or Windows
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        quota, period = _CPU_MAX.read_text().split()
-        return min(cores, -(-int(quota) // int(period)))
-    except (OSError, ValueError):
-        return cores
-
-
-def _run_experiment(threads: int | None, **fields) -> simulation.ExperimentReport:
-    """Run the experiment the fields describe.
-
-    ``SimConfig`` rejects a bad field with a ValueError, which ``main`` maps
-    to exit 1, before any replicate runs.
-
-    Without --threads a run takes one replicate thread per usable CPU
-    (``_usable_cores``), at most one per replicate: the run keeps OpenBLAS on
-    one thread, so the replicate threads are its only parallelism.
-    """
-    from heavymp import simulation
-
-    if threads is None:
-        threads = min(_usable_cores(), fields["replicates"])
-    return simulation.run_experiment(simulation.SimConfig(threads=threads, **fields))
 
 
 def counts(kmax: int) -> None:
@@ -150,8 +117,9 @@ def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
 def boundary(gamma: float, kmax: int) -> None:
     """Small-tail-index boundary law: pmf and moments."""
     law = moments.boundary_modified_poisson(gamma)
+    support = law.support(tail_tol=1e-12)
     print("j,pmf")
-    for j in law.support(tail_tol=1e-12):
+    for j in support:
         print(f"{j},{_fmt(law.pmf(j))}")
     print("k,moment")
     for k in range(1, kmax + 1):
@@ -180,12 +148,14 @@ def simulate(
     save_eigenvalues: bool,
 ) -> None:
     """Simulate replicates and write moments.csv / summary.json to --out."""
+    from heavymp import simulation
+
     hist = _parse_hist(hist_text) if hist_text else None
-    report = _run_experiment(
-        threads, p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
-        out_dir=out, hist=hist, save_eigenvalues=save_eigenvalues,
+    config = simulation.SimConfig(
+        p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
+        out_dir=out, threads=threads, hist=hist, save_eigenvalues=save_eigenvalues,
     )
-    for path in report.written:
+    for path in simulation.run_experiment(config).written:
         print(f"wrote {path}")
 
 
@@ -207,12 +177,15 @@ def compare(
     Gaussian data are compared against the classical moments; heavy-tailed
     data against the heavy moments at the given tail index.
     """
+    from heavymp import simulation
+
     table = moments.moment_table(alpha, p / n if gamma is None else gamma, kmax)
     exact = table.beta if dist == "gaussian" else table.mu
-    sim_alpha = None if dist == "gaussian" else alpha
-    report = _run_experiment(
-        threads, p=p, n=n, dist=dist, alpha=sim_alpha, k_max=kmax, replicates=replicates, seed=seed
+    config = simulation.SimConfig(
+        p=p, n=n, dist=dist, alpha=None if dist == "gaussian" else alpha, k_max=kmax,
+        replicates=replicates, seed=seed, threads=threads,
     )
+    report = simulation.run_experiment(config)
     stderr = report.stderr_moments()
     rows = []
     worst = 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from heavymp import _dtable
 from heavymp.combinatorics import count_c0, stirling2
@@ -179,14 +179,21 @@ class ModifiedPoisson(NamedTuple):
             return 1.0
         return boundary_moment_alpha0(self.gamma, k)
 
-    def support(self, tail_tol: float = 1e-15) -> Iterable[int]:
-        """0, 1, 2, ... until the remaining tail mass drops below tail_tol."""
-        k = 0
+    def support(self, tail_tol: float = 1e-15) -> range:
+        """0, 1, 2, ... until the remaining tail mass drops to tail_tol or below.
+
+        The walk is done before it returns, so a tail_tol <= 0, which the
+        rounded masses may never reach, or a walk past 10^6 points (gamma
+        from about 10^6) is a ValueError before any point is used.
+        """
+        if not tail_tol > 0:
+            raise ValueError(f"tail_tol must be positive, got {tail_tol}")
         remaining = 1.0
-        while remaining > tail_tol:
-            yield k
+        for k in range(10**6 + 1):
+            if remaining <= tail_tol:
+                return range(k)
             remaining -= self.pmf(k)
-            k += 1
+        raise ValueError(f"support of gamma={self.gamma} passes 10^6 points above tail {tail_tol}")
 
 
 def boundary_modified_poisson(gamma: float) -> ModifiedPoisson:

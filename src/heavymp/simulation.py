@@ -14,10 +14,11 @@ columns of its p x n sample at once.  It draws the sample as column panels,
 left to right, each in place in one reused p x w buffer, and sums the Gram
 matrix X X' from the panels' products X_b X_b'.
 
-Every run does all its BLAS and LAPACK on one OpenBLAS thread: the replicate
-pool supplies the parallelism, and the last bits of the Gram product and of
-the spectrum, which the outputs show, would otherwise depend on the BLAS
-thread count.
+Every run, from the library or the CLI, runs its replicates on one pool of
+``SimConfig.threads`` threads and does all its BLAS and LAPACK on one
+OpenBLAS thread: the pool supplies the parallelism, and the last bits of the
+Gram product and of the spectrum, which the outputs show, would otherwise
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FilePath
@@ -53,6 +55,23 @@ _PANEL_COLUMNS = 2500
 # panel hold 640 KB, so a block's ufunc passes run in cache and its scratch
 # is small beside the panel.
 _T_BLOCK_ROWS = 32
+
+# cgroup v2's CPU limit, "<quota> <period>" in microseconds or "max <period>"
+_CPU_MAX = FilePath("/sys/fs/cgroup/cpu.max")
+
+
+def _usable_cores() -> int:
+    """CPUs the process may run on, at most ceil(quota / period) under a CPU quota.
+
+    A ``max`` quota, or a cpu.max that is missing or unreadable, adds no cap.
+    """
+    # no affinity mask on macOS or Windows
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        quota, period = _CPU_MAX.read_text().split()
+        return min(cores, -(-int(quota) // int(period)))
+    except (OSError, ValueError):
+        return cores
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -216,7 +235,9 @@ class SimConfig:
     replicates: int
     seed: int
     out_dir: FilePath | None = None
-    threads: int = 1
+    # replicate threads; None is one per usable core (``_usable_cores``), at
+    # most one per replicate, resolved when the run starts
+    threads: int | None = None
     hist: tuple[int, float, float] | None = None  # (bins, lo, hi)
     save_eigenvalues: bool = False
 
@@ -231,7 +252,7 @@ class SimConfig:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.hist is not None:
             bins, lo, hi = self.hist
@@ -316,22 +337,17 @@ def _one_blas_thread():
 
 
 def run_experiment(config: SimConfig) -> ExperimentReport:
-    """Run all replicates and aggregate in replicate-index order.
+    """Run all replicates on one thread pool and aggregate in replicate-index order.
 
     Replicates are independent streams, so thread count affects runtime only;
     aggregation order and therefore all floating-point results are fixed.
-    BLAS is set to one thread for every ``threads`` value, since the last
-    bits of the Gram and of ``eigvalsh``'s spectrum depend on the BLAS thread
-    count; the setter acts on the whole process, so it is set once around all
-    replicates.
+    BLAS is set to one thread for every run, since the last bits of the Gram
+    and of ``eigvalsh``'s spectrum depend on the BLAS thread count; the setter
+    acts on the whole process, so it is set once around the pool.
     """
-    indices = range(config.replicates)
-    with _one_blas_thread():
-        if config.threads == 1:
-            samples = tuple(run_replicate(config, j) for j in indices)
-        else:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                samples = tuple(pool.map(lambda j: run_replicate(config, j), indices))
+    threads = config.threads or min(_usable_cores(), config.replicates)
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+        samples = tuple(pool.map(lambda j: run_replicate(config, j), range(config.replicates)))
     moments = np.vstack([s.moments for s in samples])
     mean = moments.mean(axis=0)
     std = moments.std(axis=0, ddof=1) if len(samples) > 1 else np.zeros_like(mean)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -150,7 +151,7 @@ def test_simulate_byte_identical_across_threads_at_blas_threading_size(tmp_path)
 
 
 def _three_usable_cores(monkeypatch, tmp_path_factory, cpu_max=None):
-    """Report three usable cores and record the thread count of every run.
+    """Report three usable cores and record the replicate pool size of every run.
 
     ``cpu_max`` is the text of the cgroup cpu.max file, None for no such file.
     """
@@ -158,14 +159,15 @@ def _three_usable_cores(monkeypatch, tmp_path_factory, cpu_max=None):
     path = tmp_path_factory.mktemp("cgroup") / "cpu.max"
     if cpu_max is not None:
         path.write_text(cpu_max)
-    monkeypatch.setattr(cli_module, "_CPU_MAX", path)
-    run_experiment, threads = simulation.run_experiment, []
+    monkeypatch.setattr(simulation, "_CPU_MAX", path)
+    threads = []
 
-    def recording_run(config):
-        threads.append(config.threads)
-        return run_experiment(config)
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            threads.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(simulation, "run_experiment", recording_run)
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
     return threads
 
 
@@ -313,6 +315,17 @@ def test_main_exit_codes(tmp_path):
     assert main(["nonexistent"]) == 1
     assert main([]) == 1  # no subcommand
     assert main(["--help"]) == main(["moments", "--help"]) == 0
+
+
+def test_boundary_past_the_support_bound_exits_1_before_printing():
+    # gamma = 10^10 would walk about 10^10 points, one output line each
+    done = subprocess.run(
+        [sys.executable, "-m", "heavymp.cli", "boundary", "--gamma", "1e10", "--kmax", "3"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "passes 10^6 points" in done.stderr
 
 
 def _no_replicate(monkeypatch):

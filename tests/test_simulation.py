@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -356,6 +357,27 @@ def test_run_experiment_deterministic_across_threads(tmp_path):
         assert np.array_equal(r1.mean_moments, r2.mean_moments)
 
 
+@pytest.mark.parametrize("replicates, expected", [(5, 3), (2, 2)])
+def test_run_experiment_default_threads_are_the_usable_cores(
+    tmp_path, monkeypatch, replicates, expected
+):
+    monkeypatch.setattr(simulation, "_usable_cores", lambda: 3)
+    pool_sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+    base = dict(p=20, n=60, dist="t", alpha=1.0, k_max=6, replicates=replicates, seed=8)
+    run_experiment(SimConfig(**base, out_dir=tmp_path / "default"))
+    run_experiment(SimConfig(**base, out_dir=tmp_path / "one", threads=1))
+    assert pool_sizes == [expected, 1]
+    for name in ("moments.csv", "summary.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def _blas_threads():
     """The process's OpenBLAS thread count, read by setting it and setting it back."""
     setter = simulation._blas_thread_setter()
@@ -515,6 +537,10 @@ def test_sim_config_validation():
         SimConfig(p=5, n=5, dist="t", alpha=None, k_max=2, replicates=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=0, replicates=1, seed=0)
+    assert SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0,
+                     threads=None).threads is None
+    with pytest.raises(ValueError, match="threads"):
+        SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0, threads=0)
     for hist in ((0, 0.0, 5.0), (10, 5.0, 5.0), (10, 0.0, float("inf")),
                  (10, float("-inf"), 5.0), (10, float("nan"), 5.0)):
         with pytest.raises(ValueError, match="hist"):
@@ -523,10 +549,9 @@ def test_sim_config_validation():
 
 def test_gaussian_fourth_moment_decays():
     # E[Y^4] = 3 / (n (n + 2)) on the sphere, so n E[Y^4] ~ 3/n -> 0
-    rng = np.random.default_rng(2)
     values = []
     for n in (200, 800):
-        x = rng.standard_normal((4000, n))
+        x = sample(4000, n, "gaussian", seed=2)
         y2 = x**2 / (x**2).sum(axis=1, keepdims=True)
         values.append((y2**2).sum(axis=1).mean())
     assert values[0] == pytest.approx(3 / 202, rel=0.1)
