@@ -1,43 +1,37 @@
-"""Exact integer counts and enumerators for set partitions.
+"""Exact integer counts for set partitions and canonical paths.
 
-Everything here is plain Python integer arithmetic, so counts are exact for
-any argument size; the path enumerators built on restricted growth strings
-(``paths.enumerate_canonical_paths``) are capped at ``K_MAX`` because the
-number of partitions of {1..k} is the k-th Bell number, which grows
-super-exponentially (Bell(12) = 4,213,597; Bell(20) > 5*10^13).
+Everything here is plain Python integer arithmetic, and the Stirling counts
+are closed-form sums with no cache and no recursion, so counts are exact for
+any argument size.  The path enumerator (``paths.enumerate_canonical_paths``)
+is capped at ``K_MAX`` because the number of partitions of {1..k} is the k-th
+Bell number, which grows super-exponentially (Bell(12) = 4,213,597;
+Bell(20) > 5*10^13).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
-from typing import Iterator
+from math import comb, factorial
 
-#: Default cap on the ground-set size for full enumerations (``heavymp paths
-#: --k``, brute-force contributing sets), which list up to Bell(k) paths, and
-#: for ``heavymp counts``.  Moments do not enumerate: they read the gaps
-#: d_1..d_18 from a committed table (``moments.MOMENT_K_MAX``), which
-#: scripts/build_dtable.py builds from a recursion in formal power series
-#: without walking a path.
+#: Cap on the ground-set size for full enumerations (``heavymp paths --k``,
+#: brute-force contributing sets), which list up to Bell(k) paths, and for
+#: ``heavymp counts``; ``paths.enumerate_canonical_paths`` refuses a larger k.
+#: Moments do not enumerate: they read the gaps d_1..d_18 from a committed
+#: table (``moments.MOMENT_K_MAX``), which scripts/build_dtable.py builds from
+#: a recursion in formal power series without walking a path.
 K_MAX = 12
 
 
-def _check_range(k: int, r: int, k_max: int | None = None) -> None:
+def _check_range(k: int, r: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 1 <= r <= k:
         raise ValueError(f"r must satisfy 1 <= r <= k={k}, got {r}")
-    if k_max is not None and k > k_max:
-        raise ValueError(f"k={k} exceeds k_max={k_max}")
 
 
-@lru_cache(maxsize=None)
 def _stirling2(k: int, r: int) -> int:
-    if r == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or r > k:
-        return 0
-    return r * _stirling2(k - 1, r) + _stirling2(k - 1, r - 1)
+    # inclusion-exclusion over the labels left empty by a map {1..k} -> {1..r}
+    return sum((-1) ** j * comb(r, j) * (r - j) ** k for j in range(r + 1)) // factorial(r)
 
 
 def stirling2(k: int, r: int) -> int:
@@ -53,21 +47,12 @@ def bell(k: int) -> int:
     return sum(_stirling2(k, r) for r in range(1, k + 1))
 
 
-@lru_cache(maxsize=None)
-def _stirling2_assoc(k: int, r: int) -> int:
-    # B2(k+1, r) = r*B2(k, r) + k*B2(k-1, r-1)
-    if r == 0:
-        return 1 if k == 0 else 0
-    if k < 2 * r:
-        return 0
-    return r * _stirling2_assoc(k - 1, r) + (k - 1) * _stirling2_assoc(k - 2, r - 1)
-
-
 def stirling2_assoc(k: int, r: int) -> int:
     """Number of r-partitions of {1..k} with every block of size >= 2."""
     if k < 0 or r < 0:
         raise ValueError(f"k and r must be non-negative, got k={k}, r={r}")
-    return _stirling2_assoc(k, r)
+    # inclusion-exclusion over the j elements forced to be singletons
+    return sum((-1) ** j * comb(k, j) * _stirling2(k - j, r - j) for j in range(min(k, r) + 1))
 
 
 def count_norun_paths(k: int, r: int) -> int:
@@ -144,41 +129,3 @@ def _irreducible_row(k: int) -> tuple[int, ...]:
                 for j, c in enumerate(weight):
                     row[i + j] -= c * m
     return tuple(row)
-
-
-def restricted_growth_strings(k: int, r: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield restricted growth strings of length k in lexicographic order.
-
-    A restricted growth string is a 0-based sequence with a[0]=0 and
-    a[i] <= max(a[:i]) + 1.  If ``r`` is given, only strings using exactly
-    r distinct values are generated: no value exceeds r - 1, and every tail
-    is the smallest one that still reaches r - 1.
-    """
-    if r is not None and not 1 <= r <= k:
-        return
-    top = k - 1 if r is None else r - 1  # largest value allowed
-    need = 0 if r is None else r - 1  # largest value that must appear
-    # the first string is all zeros followed by the ramp 1..need
-    a = [0] * (k - need) + list(range(1, need + 1))
-    maxes = [0] * (k - need) + a[k - need :]  # maxes[i] = max(a[:i+1])
-    while True:
-        yield tuple(a)
-        # rightmost position that can grow; growing it only raises the prefix
-        # maximum, so the tail after it can still reach need
-        i = k - 1
-        while i > 0 and a[i] >= min(maxes[i - 1] + 1, top):
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        m = maxes[i] = max(maxes[i - 1], a[i])
-        # smallest tail: zeros, then the values m+1..need still missing
-        ramp = k - max(need - m, 0)
-        for j in range(i + 1, k):
-            if j < ramp:
-                a[j] = 0
-            else:
-                m += 1
-                a[j] = m
-            maxes[j] = m
-

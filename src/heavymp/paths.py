@@ -3,7 +3,9 @@
 A path is a tuple of positive integers.  It is canonical when it starts at 1
 and each entry exceeds the running maximum by at most one; every isomorphism
 class of paths (under relabelling of the vertex alphabet) contains exactly
-one canonical representative.
+one canonical representative.  The canonical r-paths of length k, one per
+r-partition of {1..k}, are listed by one walk over positions in lexicographic
+order; since they number up to Bell(k), the walk refuses k > ``K_MAX``.
 
 Shortening repeatedly removes *runs* (cyclically consecutive equal vertices)
 and *simple* vertices (appearing exactly once) until a fixpoint; the fixpoint
@@ -16,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from heavymp.combinatorics import K_MAX, _check_range, restricted_growth_strings
+from heavymp.combinatorics import K_MAX, _check_range
 
 Path = tuple[int, ...]
 
@@ -103,11 +105,29 @@ def classify(path: Path) -> PathClass:
     return PathClass.PARTIALLY_REDUCIBLE
 
 
-def enumerate_canonical_paths(k: int, r: int, k_max: int = K_MAX) -> Iterator[Path]:
-    """Yield each canonical r-path of length k once, in lexicographic order."""
-    _check_range(k, r, k_max)
-    for rgs in restricted_growth_strings(k, r):
-        yield tuple(a + 1 for a in rgs)
+def enumerate_canonical_paths(k: int, r: int) -> Iterator[Path]:
+    """Yield each canonical r-path of length k once, in lexicographic order.
+
+    One walk over positions: each takes a label up to min(top + 1, r), with
+    top the largest label so far, and only while the positions after it can
+    still bring in the labels up to r that are missing.  Refuses k > K_MAX.
+    """
+    _check_range(k, r)
+    if k > K_MAX:
+        raise ValueError(f"k={k} exceeds k_max={K_MAX}")
+
+    def walk(prefix: Path, top: int) -> Iterator[Path]:
+        left = k - len(prefix) - 1  # positions after this one
+        # with more labels missing than positions left, this one must be new
+        labels = range(top + 1 if r - top > left else 1, min(top + 1, r) + 1)
+        if left:
+            for v in labels:
+                yield from walk(prefix + (v,), max(top, v))
+        else:
+            for v in labels:
+                yield prefix + (v,)
+
+    yield from walk((), 0)
 
 
 def enumerate_class(k: int, r: int, path_class: PathClass) -> Iterator[Path]:

@@ -248,6 +248,8 @@ class SimConfig:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
         if self.dist != "gaussian" and (self.alpha is None or not 0.0 < self.alpha < 2.0):
             raise ValueError(f"{self.dist} sampling needs alpha in (0, 2), got {self.alpha}")
+        if self.dist == "gaussian" and self.alpha is not None:
+            raise ValueError(f"gaussian sampling takes no alpha, got {self.alpha}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.replicates < 1:

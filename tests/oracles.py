@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from heavymp import simulation
-from heavymp.combinatorics import K_MAX, _check_range, _times_shifts, restricted_growth_strings
+from heavymp.combinatorics import _times_shifts
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import _check_alpha, _check_gamma
 from heavymp.paths import Path, canonicalize, enumerate_canonical_paths, is_canonical, shorten
@@ -64,17 +64,6 @@ class SetPartition:
         return min(len(b) for b in self.blocks)
 
 
-def enumerate_partitions(k: int, r: int, k_max: int = K_MAX) -> Iterator[SetPartition]:
-    """Yield every r-partition of {1..k} exactly once, in the lexicographic
-    order of the underlying restricted growth strings."""
-    _check_range(k, r, k_max)
-    for rgs in restricted_growth_strings(k, r):
-        blocks: list[list[int]] = [[] for _ in range(r)]
-        for pos, label in enumerate(rgs, start=1):
-            blocks[label].append(pos)
-        yield SetPartition(k, tuple(frozenset(b) for b in blocks))
-
-
 def path_to_partition(path: Path) -> SetPartition:
     """Partition of {1..k} whose block l holds the positions of label l."""
     if not is_canonical(path):
@@ -87,6 +76,12 @@ def path_to_partition(path: Path) -> SetPartition:
     return SetPartition(len(path), tuple(frozenset(b) for b in blocks))
 
 
+def enumerate_partitions(k: int, r: int) -> Iterator[SetPartition]:
+    """Yield every r-partition of {1..k} exactly once, in the lexicographic
+    order of the canonical paths."""
+    return map(path_to_partition, enumerate_canonical_paths(k, r))
+
+
 def partition_to_path(partition: SetPartition) -> Path:
     labels = [0] * partition.k
     # blocks are ordered by smallest element, which is exactly the canonical
@@ -97,12 +92,12 @@ def partition_to_path(partition: SetPartition) -> Path:
     return tuple(labels)
 
 
-def enumerate_simples(k: int, r: int, q: int, k_max: int = K_MAX) -> Iterator[Path]:
+def enumerate_simples(k: int, r: int, q: int) -> Iterator[Path]:
     """Canonical r-paths of length k with a non-empty core and exactly q
     simple-vertex removals (q must be at most r - 2)."""
     if not 0 <= q <= r - 2:
         raise ValueError(f"q must satisfy 0 <= q <= r-2={r - 2}, got {q}")
-    for path in enumerate_canonical_paths(k, r, k_max):
+    for path in enumerate_canonical_paths(k, r):
         result = shorten(path)
         if result.shortened and result.simples == q:
             yield path

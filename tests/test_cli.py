@@ -95,6 +95,13 @@ def test_moments_output_matches_the_golden_bytes(alpha, gamma, fmt):
     assert result.stdout_bytes == (GOLDEN / f"moments_a{alpha}_g{gamma}_k14.{fmt}").read_bytes()
 
 
+def test_counts_output_matches_the_golden_bytes():
+    # tests/data holds `heavymp counts --kmax 12` as the memoised Stirling recursions printed it
+    result = run("counts", "--kmax", "12")
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / "counts_k12.csv").read_bytes()
+
+
 def test_moment_cap_is_the_table_top_and_enumerators_stay_capped():
     payload = json.loads(run("moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14",
                              "--format", "json").output)
@@ -375,6 +382,9 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
         # one replicate has no stderr, so every z would read 0 and pass
         (["compare", "--alpha", "1", "--p", "40", "--n", "200", "--dist", "pareto", "--kmax", "4",
           "--replicates", "1", "--seed", "3", "--z-threshold", "0.01"], "--replicates"),
+        # the gaussian sampler has no tail index, so an alpha would only mislabel summary.json
+        (["simulate", "--dist", "gaussian", "--alpha", "7", "--p", "4", "--n", "8", "--k", "2",
+          "--replicates", "2"], "gaussian sampling takes no alpha"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(

@@ -6,10 +6,10 @@ from heavymp.combinatorics import (
     bell,
     count_c0,
     count_norun_paths,
-    restricted_growth_strings,
     stirling2,
     stirling2_assoc,
 )
+from heavymp.paths import enumerate_canonical_paths
 from oracles import SetPartition, enumerate_partitions
 
 
@@ -95,8 +95,6 @@ def has_cyclic_run(path):
 
 
 def test_count_norun_paths_brute_force():
-    from heavymp.paths import enumerate_canonical_paths
-
     for k in range(1, 9):
         for r in range(1, k + 1):
             expected = sum(
@@ -140,34 +138,65 @@ def test_enumerate_partitions_range_error():
         list(enumerate_partitions(20, 2))  # beyond the enumeration cap
 
 
+# canonical paths are the restricted growth strings of set partitions, labels from 1
+
+
 def test_restricted_growth_strings_lexicographic():
-    strings = list(restricted_growth_strings(4))
-    assert strings == sorted(strings)
+    strings = [p for r in range(1, 5) for p in enumerate_canonical_paths(4, r)]
+    for r in range(1, 5):
+        block = list(enumerate_canonical_paths(4, r))
+        assert block == sorted(block)
     assert len(strings) == bell(4)
-    assert strings[0] == (0, 0, 0, 0)
-    assert strings[-1] == (0, 1, 2, 3)
+    assert sorted(strings)[0] == (1, 1, 1, 1)
+    assert sorted(strings)[-1] == (1, 2, 3, 4)
 
 
-def all_rgs(k):
-    """Every restricted growth string of length k, lexicographically, by recursion."""
+def all_paths(k):
+    """Every canonical path of length k, lexicographically, by recursion."""
 
     def extend(prefix, top):
         if len(prefix) == k:
             yield tuple(prefix)
             return
-        for v in range(top + 2):
+        for v in range(1, top + 2):
             yield from extend(prefix + [v], max(top, v))
 
-    yield from extend([0], 0)
+    yield from extend([1], 1)
 
 
 def test_restricted_growth_strings_exactly_r():
     for k in range(1, 10):
-        full = list(all_rgs(k))
-        assert list(restricted_growth_strings(k)) == full
-        for r in range(0, k + 2):
-            expected = [a for a in full if max(a) == r - 1]
-            assert list(restricted_growth_strings(k, r)) == expected
+        full = list(all_paths(k))
+        assert len(full) == bell(k)
+        for r in range(1, k + 1):
+            assert list(enumerate_canonical_paths(k, r)) == [p for p in full if max(p) == r]
+        for r in (0, k + 1):
+            with pytest.raises(ValueError):
+                list(enumerate_canonical_paths(k, r))
+
+
+def test_deep_counts_match_an_iterative_row_recurrence():
+    # rows of S(k, 0..5) and of the singleton-free S2(k, 0..4), k = 0..3000
+    s_rows = [[1, 0, 0, 0, 0, 0]]
+    a_rows = [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+    for k in range(1, 3001):
+        prev = s_rows[-1]
+        s_rows.append([0] + [r * prev[r] + prev[r - 1] for r in range(1, 6)])
+        if k >= 2:
+            # element k joins one of r blocks, or forms the block {j, k} with one of k - 1 others
+            one, two = a_rows[k - 1], a_rows[k - 2]
+            a_rows.append([0] + [r * one[r] + (k - 1) * two[r - 1] for r in range(1, 5)])
+    for r in range(1, 6):
+        assert stirling2(3000, r) == s_rows[3000][r]
+    for r in range(0, 5):
+        assert stirling2_assoc(3000, r) == a_rows[3000][r]
+    # N(k, r) = S(k - 1, r - 1) - N(k - 1, r): of the S(k - 1, r - 1) paths with no
+    # linear run, those whose only run is the wraparound pair drop their last label
+    # to a run-free path of length k - 1
+    norun = 0
+    for k in range(1, 2001):
+        norun = s_rows[k - 1][2] - norun
+    assert count_norun_paths(2000, 3) == norun
 
 
 def test_set_partition_validation():

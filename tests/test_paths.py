@@ -187,9 +187,8 @@ def test_enumerate_simples_range():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k=13 exceeds k_max=12"):
         list(enumerate_canonical_paths(13, 2))
-    assert len(list(enumerate_canonical_paths(13, 2, k_max=13))) == stirling2(13, 2)
 
 
 def test_singleton_free_counts_match_associated_stirling():
