@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
-from heavymp.combinatorics import _times_shifts, count_c0
+from heavymp.combinatorics import count_c0
 
 Poly = dict[tuple[int, int], Fraction]  # {(i, j): coefficient of a^i gamma^j}
 Series = list[Poly]  # the coefficients of z^0, z^1, ...
@@ -66,6 +66,13 @@ def _sum(polys: Iterable[Poly]) -> Poly:
     for p in polys:
         out.update(p)
     return {key: c for key, c in out.items() if c}
+
+
+def _times_shifts(poly: list[int], m: int) -> list[int]:
+    """poly(a) Gamma(m - a) / Gamma(1 - a) = poly(a) prod_{j=1}^{m-1} (j - a), ascending in a."""
+    for j in range(1, m):
+        poly = [j * c - lower for c, lower in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def _series_mul(x: Series, y: Series, degree: int) -> Series:

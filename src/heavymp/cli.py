@@ -179,6 +179,8 @@ def compare(
     """
     from heavymp import simulation
 
+    if not z_threshold >= 0:  # no |z| exceeds a NaN, so NaN would pass every run
+        raise ValueError(f"--z-threshold must be >= 0, got {z_threshold}")
     table = moments.moment_table(alpha, p / n if gamma is None else gamma, kmax)
     exact = table.beta if dist == "gaussian" else table.mu
     config = simulation.SimConfig(

@@ -1,16 +1,15 @@
 """Exact integer counts for set partitions and canonical paths.
 
-Everything here is plain Python integer arithmetic, and the Stirling counts
-are closed-form sums with no cache and no recursion, so counts are exact for
-any argument size.  The path enumerator (``paths.enumerate_canonical_paths``)
-is capped at ``K_MAX`` because the number of partitions of {1..k} is the k-th
-Bell number, which grows super-exponentially (Bell(12) = 4,213,597;
-Bell(20) > 5*10^13).
+Everything here is plain Python integer arithmetic, and every count is a
+closed-form inclusion-exclusion sum with no cache and no recursion, so counts
+are exact for any argument size.  The path enumerator
+(``paths.enumerate_canonical_paths``) is capped at ``K_MAX`` because the
+number of partitions of {1..k} is the k-th Bell number, which grows
+super-exponentially (Bell(12) = 4,213,597; Bell(20) > 5*10^13).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
 #: Cap on the ground-set size for full enumerations (``heavymp paths --k``,
@@ -85,47 +84,32 @@ def count_irreducible(k: int, r: int) -> int:
     """Number of irreducible canonical r-paths of length k, M(k, r).
 
     A path is irreducible when shortening removes nothing: every label occurs
-    at least twice and no two cyclically consecutive entries are equal.  The
-    S(k, r) - C0(k, r) paths that are not completely reducible each shorten
-    to a core of some length l.  A singleton-free path of length m whose core
-    has length l and whose shortening makes s simple removals occurs
-    N(l, m, s) = C(m, l + 2s) C(l + 2s, s) times per canonical form of the
-    core: each erased run letter duplicates a neighbour, and each simple
-    removal is a pair of letters that collapses onto the core.  A path with j
-    singletons and s further simple removals has the core's labels and s + j
-    more, so adding back the singletons and grading by labels gives
-
-        sum_r [S(k, r) - C0(k, r)] g^(r-1)
-            = sum_l sum_s C(k, l + 2s) C(l + 2s, s) g^s (1 + g)^(k-l-2s) M_l(g),
-
-    where M_l(g) = sum_r M(l, r) g^(r-1).  The l = k term is M_k(g) itself,
-    so M(k, r) follows from the shorter lengths, without walking any path.
+    at least twice and no two cyclically consecutive entries are equal.  So
+    M(k, r) is the number of run-free r-paths less, by inclusion-exclusion,
+    those with singleton labels: j positions whose labels are singletons cut
+    the k-cycle into c arcs of m = k - j positions in all, which they do in
+    (k/c) C(j-1, c-1) C(m-1, c-1) ways, and the arcs hold a run-free
+    (r - j)-partition of their own (``_arc_partitions``).  No path is walked
+    and no shorter length is counted.
     """
     _check_range(k, r)
-    return _irreducible_row(k)[r - 1]
+    total = count_norun_paths(k, r)
+    for j in range(1, r + 1):
+        m = k - j
+        # m = 0 leaves no arc: every position is a singleton, so j = r = k
+        arcs = sum(
+            k * comb(j - 1, c - 1) * comb(m - 1, c - 1) // c * _arc_partitions(m, c, r - j)
+            for c in range(1, min(j, m) + 1)
+        ) if m else 1
+        total += (-1) ** j * arcs
+    return total
 
 
-def _times_shifts(poly: list[int], m: int) -> list[int]:
-    """poly(a) Gamma(m - a) / Gamma(1 - a) = poly(a) prod_{j=1}^{m-1} (j - a), ascending in a."""
-    for j in range(1, m):
-        poly = [j * c - lower for c, lower in zip(poly + [0], [0] + poly)]
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _irreducible_row(k: int) -> tuple[int, ...]:
-    """M(k, 1..k), indexed by r - 1."""
-    row = [_stirling2(k, r) - count_c0(k, r) for r in range(1, k + 1)]
-    for l in range(1, k):
-        # sum_s C(k, l + 2s) C(l + 2s, s) g^s (1 + g)^(k-l-2s), ascending in g
-        weight = [0] * (k - l + 1)
-        for s in range((k - l) // 2 + 1):
-            n = k - l - 2 * s
-            c = comb(k, l + 2 * s) * comb(l + 2 * s, s)
-            for j in range(n + 1):
-                weight[s + j] += c * comb(n, j)
-        for i, m in enumerate(_irreducible_row(l)):
-            if m:
-                for j, c in enumerate(weight):
-                    row[i + j] -= c * m
-    return tuple(row)
+def _arc_partitions(m: int, c: int, r: int) -> int:
+    """Number of r-partitions of m positions laid out in c arcs with no two
+    neighbours in one arc in the same block: inclusion-exclusion over the
+    labels left empty by a run-free labelling, which gives each arc r - i
+    choices at its first position and r - i - 1 at each later one."""
+    return sum(
+        (-1) ** i * comb(r, i) * (r - i) ** c * (r - i - 1) ** (m - c) for i in range(r + 1)
+    ) // factorial(r)

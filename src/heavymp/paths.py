@@ -15,7 +15,9 @@ reducible, irreducible or partially reducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
+from itertools import groupby
 from typing import Iterator, NamedTuple
 
 from heavymp.combinatorics import K_MAX, _check_range
@@ -65,29 +67,25 @@ class PSResult(NamedTuple):
 def shorten(path: Path) -> PSResult:
     """Iterate run erasure and simple-vertex deletion to the fixpoint.
 
-    Runs are erased one at a time, leftmost first, with the cyclic pair
-    (last, first) included; this order pins down the counters (the fixpoint
-    itself is order-independent).  The returned path is canonicalized.
+    Each pass erases every run, the cyclic pair (last, first) included, in
+    one sweep, then deletes every simple vertex.  Neither the fixpoint nor
+    the counters depend on the order of the erasures: a block of b cyclically
+    consecutive equal entries always loses b - 1 of them.  The returned path
+    is canonicalized.
     """
     current = list(path)
     runs = 0
     simples = 0
     while True:
-        before = list(current)
-        # erase runs, leftmost first, restarting after each removal
-        while len(current) >= 2:
-            l = len(current)
-            for j in range(l):
-                if current[j] == current[(j + 1) % l]:
-                    del current[j]
-                    runs += 1
-                    break
-            else:
-                break
+        before = current
+        # keep the first entry of each block of equal neighbours, then drop
+        # the last entries while they repeat the first
+        current = [v for v, _block in groupby(current)]
+        while len(current) >= 2 and current[-1] == current[0]:
+            current.pop()
+        runs += len(before) - len(current)
         # delete all currently simple vertices at once
-        counts: dict[int, int] = {}
-        for v in current:
-            counts[v] = counts.get(v, 0) + 1
+        counts = Counter(current)
         kept = [v for v in current if counts[v] > 1]
         simples += len(current) - len(kept)
         current = kept

@@ -6,10 +6,12 @@ so set partitions, the path/partition bijection, the paper's simple-removal
 sets, the dihedral representative, the per-core limit and the paper's path
 walk (singleton-free paths, irreducible classes, the polynomials Q_l summed
 over them and d_k reassembled from Q_4..Q_k) serve here as independent
-oracles.  The finite-(p, n) moment expectations check the Monte Carlo engine
-against numbers that carry no n -> infinity bias.  The engine's own column
-panels, copied side by side, give a replicate's whole sample, and a
-correlation matrix formed without the engine's Gram checks the engine's.
+oracles.  Path shortening that erases one run at a time, restarting after
+each, checks the engine's one-sweep erasure.  The finite-(p, n) moment
+expectations check the Monte Carlo engine against numbers that carry no
+n -> infinity bias.  The engine's own column panels, copied side by side,
+give a replicate's whole sample, and a correlation matrix formed without the
+engine's Gram checks the engine's.
 """
 
 from __future__ import annotations
@@ -24,10 +26,16 @@ from typing import Iterator
 import numpy as np
 
 from heavymp import simulation
-from heavymp.combinatorics import _times_shifts
 from heavymp.delta_graphs import build_delta, contributing_sets
 from heavymp.moments import _check_alpha, _check_gamma
-from heavymp.paths import Path, canonicalize, enumerate_canonical_paths, is_canonical, shorten
+from heavymp.paths import (
+    Path,
+    PSResult,
+    canonicalize,
+    enumerate_canonical_paths,
+    is_canonical,
+    shorten,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,33 @@ def enumerate_simples(k: int, r: int, q: int) -> Iterator[Path]:
             yield path
 
 
+def restart_loop_shorten(path: Path) -> PSResult:
+    """Path shortening that erases runs one at a time, leftmost first with
+    the cyclic pair (last, first) included, restarting from the first
+    position after each erasure; simple vertices go all at once, as in
+    ``paths.shorten``."""
+    current = list(path)
+    runs = 0
+    simples = 0
+    while True:
+        before = list(current)
+        while len(current) >= 2:
+            l = len(current)
+            for j in range(l):
+                if current[j] == current[(j + 1) % l]:
+                    del current[j]
+                    runs += 1
+                    break
+            else:
+                break
+        counts = Counter(current)
+        kept = [v for v in current if counts[v] > 1]
+        simples += len(current) - len(kept)
+        current = kept
+        if current == before:
+            return PSResult(canonicalize(tuple(current)), runs, simples)
+
+
 def dihedral_representative(path: Path) -> Path:
     """Smallest canonical form among the rotations of the path and their reversals.
 
@@ -130,8 +165,18 @@ def tree_pair_polynomial(i_path: Path, t_path: Path) -> list[Fraction]:
     )
     poly = [0] * (max(t_path) - 1) + [1]
     for _edge, degree in graph.edge_degrees:
-        poly = _times_shifts(poly, degree // 2)
+        for j in range(1, degree // 2):
+            poly = _poly_product(poly, [j, -1])
     return [weight * c for c in poly]
+
+
+def _poly_product(p: list[int], q: list[int]) -> list[int]:
+    """The product of two polynomials given by their coefficients, ascending."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
 
 
 def core_polynomial(i_path: Path) -> tuple[Fraction, ...]:

@@ -385,6 +385,11 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
         # the gaussian sampler has no tail index, so an alpha would only mislabel summary.json
         (["simulate", "--dist", "gaussian", "--alpha", "7", "--p", "4", "--n", "8", "--k", "2",
           "--replicates", "2"], "gaussian sampling takes no alpha"),
+        # no |z| is over a NaN threshold, so every run would pass
+        (["compare", "--alpha", "1", "--p", "40", "--n", "200", "--dist", "pareto", "--kmax", "4",
+          "--replicates", "6", "--seed", "3", "--z-threshold", "nan"],
+         "--z-threshold must be >= 0, got nan"),
+        (["compare", "--alpha", "1", "--z-threshold", "-1"], "--z-threshold must be >= 0, got -1.0"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(
@@ -415,6 +420,12 @@ def test_compare_over_threshold_exits_2_through_main():
          "--kmax", "4", "--replicates", "6", "--seed", "3", "--z-threshold", "0.01"]
     )
     assert code == 2
+    # an infinite threshold is a valid one that every |z| passes
+    code = main(
+        ["compare", "--alpha", "1", "--p", "40", "--n", "200", "--dist", "pareto",
+         "--kmax", "4", "--replicates", "6", "--seed", "3", "--z-threshold", "inf"]
+    )
+    assert code == 0
 
 
 def test_main_io_error(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from heavymp.combinatorics import (
     bell,
     count_c0,
+    count_irreducible,
     count_norun_paths,
     stirling2,
     stirling2_assoc,
@@ -197,6 +198,33 @@ def test_deep_counts_match_an_iterative_row_recurrence():
     for k in range(1, 2001):
         norun = s_rows[k - 1][2] - norun
     assert count_norun_paths(2000, 3) == norun
+
+
+def test_irreducible_counts_satisfy_the_census_identity():
+    # a path with a non-empty core of length l, s simple removals and j
+    # singletons has r - 1 = (r_core - 1) + s + j, so grading by labels gives
+    #   sum_r [S(k, r) - C0(k, r)] g^(r-1)
+    #       = sum_l sum_s C(k, l + 2s) C(l + 2s, s) g^s (1 + g)^(k-l-2s) M_l(g),
+    # checked coefficient by coefficient in g
+    top = 24
+    m = {(l, r): count_irreducible(l, r) for l in range(1, top + 1) for r in range(1, l + 1)}
+    for k in range(1, top + 1):
+        by_census = [0] * k
+        for l in range(1, k + 1):
+            for s in range((k - l) // 2 + 1):
+                n = k - l - 2 * s
+                c = math.comb(k, l + 2 * s) * math.comb(l + 2 * s, s)
+                for t in range(n + 1):  # g^t in (1 + g)^n
+                    for r in range(1, l + 1):
+                        by_census[r - 1 + s + t] += c * math.comb(n, t) * m[l, r]
+        assert by_census == [stirling2(k, r) - count_c0(k, r) for r in range(1, k + 1)]
+
+
+def test_irreducible_counts_at_large_k():
+    # two labels alternate around an even cycle and cannot close an odd one
+    assert count_irreducible(300, 2) == 1
+    assert count_irreducible(301, 2) == 0
+    assert count_irreducible(1000, 5) > 0
 
 
 def test_set_partition_validation():

@@ -2,7 +2,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from heavymp.combinatorics import bell, count_c0, count_irreducible, stirling2, stirling2_assoc
 from heavymp.paths import (
@@ -20,6 +20,7 @@ from oracles import (
     irreducible_classes,
     partition_to_path,
     path_to_partition,
+    restart_loop_shorten,
     singleton_free_paths,
 )
 
@@ -79,6 +80,19 @@ def test_shorten_examples(path, shortened, runs, simples):
 def test_shorten_empty_path():
     result = shorten(())
     assert result.shortened == () and result.runs == 0 and result.simples == 0
+
+
+def test_one_sweep_shorten_matches_the_restart_loop():
+    for k in range(1, 10):
+        for r in range(1, k + 1):
+            for path in enumerate_canonical_paths(k, r):
+                assert shorten(path) == restart_loop_shorten(path)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), max_size=14).map(tuple))
+def test_one_sweep_shorten_matches_the_restart_loop_off_canonical_form(path):
+    assume(not is_canonical(path))
+    assert shorten(path) == restart_loop_shorten(path)
 
 
 @given(paths_strategy)
