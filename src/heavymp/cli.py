@@ -74,21 +74,21 @@ def delta(i_text: str, t_text: str) -> None:
 
     i_path = _parse_path(i_text, "--i")
     t_path = _parse_path(t_text, "--t")
-    graph = delta_graphs.build_delta(i_path, t_path)
+    degrees = delta_graphs.build_delta(i_path, t_path)
     print("i,t,degree")
-    for (i, t), d in graph.edge_degrees:
+    for (i, t), d in degrees.items():
         print(f"{i},{t},{d}")
-    print(f"# edges={graph.n_edges}")
-    print(f"# even={delta_graphs.is_even(graph)}")
-    print(f"# tree={delta_graphs.is_tree_skeleton(graph)}")
+    print(f"# edges={len(degrees)}")
+    print(f"# even={delta_graphs.is_even(degrees)}")
+    print(f"# tree={delta_graphs.is_tree_skeleton(degrees)}")
 
 
-def contributing(i_text: str, mode: str) -> None:
+def contributing(i_text: str) -> None:
     """Contributing column-path levels and the stopping level t*."""
     from heavymp import delta_graphs
 
     i_path = _parse_path(i_text, "--i")
-    sets = delta_graphs.contributing_sets(i_path, mode=mode)
+    sets = delta_graphs.contributing_sets(i_path)
     for s, level in enumerate(sets.levels, start=1):
         for t_path in level:
             print(f"{s}:{','.join(map(str, t_path))}")
@@ -270,7 +270,6 @@ def _build_parser() -> _Parser:
 
     add = command("contributing", contributing)
     add("--i", dest="i_text", required=True, help="Irreducible canonical path, e.g. 1,2,1,2")
-    add("--mode", choices=["refine", "brute"], default="refine", help="generator" + _DEFAULT)
 
     add = command("moments", moments_cmd)
     add("--alpha", type=float, required=True, help="tail index in (0, 2)")

@@ -4,9 +4,12 @@ For paths I and T of common length k the graph has a down-edge (i_l, t_l)
 and an up-edge (i_{l+1}, t_l) for every step l, with the wraparound
 i_{k+1} = i_1; orientation is dropped and parallel edges are counted by an
 integer degree.  Only pairs whose edge degrees are all even and whose
-skeleton (parallel edges glued) is a tree contribute at leading order.  The
-levels C_s(I) of such column paths with s distinct labels are generated as
-the closed walks i_1 t_1 i_2 t_2 ... i_k t_k i_1 that never close a cycle.
+skeleton (parallel edges glued) is a tree contribute at leading order; the
+closed walk i_1 t_1 i_2 t_2 ... i_k t_k i_1 makes every such graph connected,
+so the tree test is an edge count.  The levels C_s(I) of contributing column
+paths with s distinct labels are generated as the closed walks that never
+close a cycle; tests/oracles.py keeps the filter over all canonical s-paths
+that checks them.
 Summed over these pairs, a core I gives its limit polynomial P_I.  The
 moments do not sum cores: scripts/build_dtable.py sums the same tree walks
 over all row paths at once, by a recursion in formal power series, into the
@@ -16,88 +19,39 @@ combinatorics behind it.
 
 from __future__ import annotations
 
-from typing import Collection, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from heavymp.combinatorics import K_MAX
-from heavymp.paths import Path, enumerate_canonical_paths, is_canonical, shorten
-
-
-class DeltaGraph(NamedTuple):
-    """Edge degrees of the bipartite multigraph for a path pair (I, T)."""
-
-    edge_degrees: tuple[tuple[tuple[int, int], int], ...]  # ((i, t), degree)
-
-    @property
-    def degrees(self) -> dict[tuple[int, int], int]:
-        return dict(self.edge_degrees)
-
-    @property
-    def i_vertices(self) -> frozenset[int]:
-        return frozenset(i for (i, _t), _d in self.edge_degrees)
-
-    @property
-    def t_vertices(self) -> frozenset[int]:
-        return frozenset(t for (_i, t), _d in self.edge_degrees)
-
-    @property
-    def n_edges(self) -> int:
-        """Number of skeleton edges."""
-        return len(self.edge_degrees)
-
-    def i_degree(self, i: int) -> int:
-        """Number of distinct T-neighbours of the I-vertex i."""
-        return sum(1 for (a, _t), _d in self.edge_degrees if a == i)
+from heavymp.paths import Path, is_canonical, shorten
 
 
-def _edge_degrees(i_path: Path, t_path: Path) -> dict[tuple[int, int], int]:
-    """Degree of every edge (i, t): one down- and one up-edge per step."""
-    degrees: dict[tuple[int, int], int] = {}
-    for i_down, i_up, t in zip(i_path, i_path[1:] + i_path[:1], t_path):
-        degrees[i_down, t] = degrees.get((i_down, t), 0) + 1
-        degrees[i_up, t] = degrees.get((i_up, t), 0) + 1
-    return degrees
-
-
-def _is_tree(edges: Collection[tuple[int, int]], n_vertices: int) -> bool:
-    """Whether the (i, t) skeleton edges form a spanning tree of the vertices.
-
-    With #vertices - 1 edges a graph is a tree exactly when it has no cycle;
-    union-find spots the first edge that closes one.  T-vertices are stored
-    negated so they never share a key with an I-vertex.
-    """
-    if len(edges) != n_vertices - 1:
-        return False
-    parent: dict[int, int] = {}
-
-    def root(v: int) -> int:
-        while parent.get(v, v) != v:
-            v = parent[v]
-        return v
-
-    for i, t in edges:
-        a, b = root(i), root(-t)
-        if a == b:
-            return False
-        parent[a] = b
-    return True
-
-
-def build_delta(i_path: Path, t_path: Path) -> DeltaGraph:
+def build_delta(i_path: Path, t_path: Path) -> dict[tuple[int, int], int]:
+    """Degree of every skeleton edge (i, t), sorted by edge: one down- and
+    one up-edge per step."""
     if len(i_path) != len(t_path):
         raise ValueError(f"length mismatch: |I|={len(i_path)}, |T|={len(t_path)}")
     if not i_path:
         raise ValueError("paths must be non-empty")
-    return DeltaGraph(tuple(sorted(_edge_degrees(i_path, t_path).items())))
+    degrees: dict[tuple[int, int], int] = {}
+    for i_down, i_up, t in zip(i_path, i_path[1:] + i_path[:1], t_path):
+        degrees[i_down, t] = degrees.get((i_down, t), 0) + 1
+        degrees[i_up, t] = degrees.get((i_up, t), 0) + 1
+    return dict(sorted(degrees.items()))
 
 
-def is_even(graph: DeltaGraph) -> bool:
-    return all(d % 2 == 0 for _e, d in graph.edge_degrees)
+def is_even(degrees: dict[tuple[int, int], int]) -> bool:
+    return all(d % 2 == 0 for d in degrees.values())
 
 
-def is_tree_skeleton(graph: DeltaGraph) -> bool:
-    """Connected with exactly (#vertices - 1) skeleton edges."""
-    n_vertices = len(graph.i_vertices) + len(graph.t_vertices)
-    return _is_tree(graph.degrees, n_vertices)
+def is_tree_skeleton(degrees: dict[tuple[int, int], int]) -> bool:
+    """Exactly (#vertices - 1) skeleton edges.
+
+    The closed walk i_1 t_1 ... i_k t_k i_1 of a path pair passes every
+    vertex, so the graph is connected, and a connected graph is a tree
+    exactly when it has one edge fewer than vertices.
+    """
+    i_vertices = {i for i, _t in degrees}
+    t_vertices = {t for _i, t in degrees}
+    return len(degrees) == len(i_vertices) + len(t_vertices) - 1
 
 
 class ContributingSets(NamedTuple):
@@ -159,44 +113,16 @@ def _tree_walks(i_path: Path) -> dict[int, list[Path]]:
     return found
 
 
-def contributing_sets(i_path: Path, mode: str = "refine") -> ContributingSets:
-    """Build the non-empty levels C_s(I) for an irreducible canonical path.
-
-    ``mode="refine"`` generates the contributing column paths directly, as
-    the closed walks of ``_tree_walks``, and groups them by label count;
-    ``mode="brute"`` filters all canonical s-paths of length k for even edge
-    degrees and a tree skeleton, level by level up to the first empty one,
-    and serves as the oracle.  Brute mode caps |I| at ``combinatorics.K_MAX``,
-    since it lists up to Bell(|I|) paths; refine mode walks trees and needs no cap.
-    """
+def contributing_sets(i_path: Path) -> ContributingSets:
+    """Build the non-empty levels C_s(I) for an irreducible canonical path:
+    the closed walks of ``_tree_walks``, grouped by label count."""
     if not is_canonical(i_path):
         raise ValueError(f"path {i_path} is not canonical")
     if not i_path:
         raise ValueError("empty path")
-    if mode == "brute" and len(i_path) > K_MAX:
-        raise ValueError(f"|I|={len(i_path)} exceeds k_max={K_MAX}")
-    ps = shorten(i_path)
-    if ps.shortened != i_path:
+    if shorten(i_path).shortened != i_path:
         raise ValueError(f"path {i_path} is reducible; shorten it first")
-    if mode not in ("refine", "brute"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    k = len(i_path)
-    if mode == "refine":
-        found = _tree_walks(i_path)
-        # no level below t* is empty, so these match the brute-force levels,
-        # which stop at the first empty one
-        assert sorted(found) == list(range(1, len(found) + 1))
-        return ContributingSets(i_path, tuple(tuple(found[s]) for s in sorted(found)))
-    levels: list[tuple[Path, ...]] = [((1,) * k,)]
-    # a contributing T has r + s - 1 <= k skeleton edges
-    for s in range(2, k - max(i_path) + 2):
-        level = tuple(
-            t_path
-            for t_path in enumerate_canonical_paths(k, s)
-            if is_even(graph := build_delta(i_path, t_path)) and is_tree_skeleton(graph)
-        )
-        if not level:
-            break
-        levels.append(level)
-    return ContributingSets(i_path, tuple(levels))
+    found = _tree_walks(i_path)
+    # no level below t* is empty, so levels[s - 1] is C_s(I)
+    assert sorted(found) == list(range(1, len(found) + 1))
+    return ContributingSets(i_path, tuple(tuple(found[s]) for s in sorted(found)))

@@ -31,15 +31,6 @@ class PathClass(Enum):
     PARTIALLY_REDUCIBLE = "c2"
 
 
-def is_canonical(path: Path) -> bool:
-    running_max = 0
-    for v in path:
-        if v < 1 or v > running_max + 1:
-            return False
-        running_max = max(running_max, v)
-    return True
-
-
 def canonicalize(path: Path) -> Path:
     """Relabel vertices by order of first appearance."""
     relabel: dict[int, int] = {}
@@ -51,9 +42,8 @@ def canonicalize(path: Path) -> Path:
     return tuple(out)
 
 
-def _require_canonical(path: Path) -> None:
-    if not is_canonical(path):
-        raise ValueError(f"path {path} is not canonical")
+def is_canonical(path: Path) -> bool:
+    return canonicalize(path) == path
 
 
 class PSResult(NamedTuple):
@@ -94,7 +84,8 @@ def shorten(path: Path) -> PSResult:
 
 
 def classify(path: Path) -> PathClass:
-    _require_canonical(path)
+    if not is_canonical(path):
+        raise ValueError(f"path {path} is not canonical")
     result = shorten(path)
     if not result.shortened:
         return PathClass.COMPLETELY_REDUCIBLE

@@ -6,12 +6,13 @@ so set partitions, the path/partition bijection, the paper's simple-removal
 sets, the dihedral representative, the per-core limit and the paper's path
 walk (singleton-free paths, irreducible classes, the polynomials Q_l summed
 over them and d_k reassembled from Q_4..Q_k) serve here as independent
-oracles.  Path shortening that erases one run at a time, restarting after
-each, checks the engine's one-sweep erasure.  The finite-(p, n) moment
-expectations check the Monte Carlo engine against numbers that carry no
-n -> infinity bias.  The engine's own column panels, copied side by side,
-give a replicate's whole sample, and a correlation matrix formed without the
-engine's Gram checks the engine's.
+oracles.  Contributing sets filtered from all canonical column paths check
+the tree walk that generates them.  Path shortening that erases one run at a
+time, restarting after each, checks the engine's one-sweep erasure.  The
+finite-(p, n) moment expectations check the Monte Carlo engine against
+numbers that carry no n -> infinity bias.  The engine's own column panels,
+copied side by side, give a replicate's whole sample, and a correlation
+matrix formed without the engine's Gram checks the engine's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from heavymp import simulation
-from heavymp.delta_graphs import build_delta, contributing_sets
+from heavymp.delta_graphs import build_delta, contributing_sets, is_even, is_tree_skeleton
 from heavymp.moments import _check_alpha, _check_gamma
 from heavymp.paths import (
     Path,
@@ -157,14 +158,15 @@ def tree_pair_polynomial(i_path: Path, t_path: Path) -> list[Fraction]:
     prod_i (deg_i - 1)!/(c_i - 1)! prod_e prod_{j=1}^{m_e-1} (j - a), where 2 m_e
     is the degree of edge e and c_i the multiplicity of label i.
     """
-    graph = build_delta(i_path, t_path)
+    degrees = build_delta(i_path, t_path)
     labels = range(1, max(i_path) + 1)
+    t_neighbours = Counter(i for i, _t in degrees)
     weight = Fraction(
-        prod(factorial(graph.i_degree(i) - 1) for i in labels),
+        prod(factorial(t_neighbours[i] - 1) for i in labels),
         prod(factorial(i_path.count(i) - 1) for i in labels),
     )
     poly = [0] * (max(t_path) - 1) + [1]
-    for _edge, degree in graph.edge_degrees:
+    for degree in degrees.values():
         for j in range(1, degree // 2):
             poly = _poly_product(poly, [j, -1])
     return [weight * c for c in poly]
@@ -177,6 +179,28 @@ def _poly_product(p: list[int], q: list[int]) -> list[int]:
         for j, d in enumerate(q):
             out[i + j] += c * d
     return out
+
+
+def brute_contributing_levels(i_path: Path) -> tuple[tuple[Path, ...], ...]:
+    """The levels C_1(I), C_2(I), ... of an irreducible canonical path, by
+    brute force: every canonical s-path of length k is tested for even edge
+    degrees and a tree skeleton, level by level up to the first empty one.
+
+    It lists up to Bell(k) paths, so k is capped at ``combinatorics.K_MAX``.
+    """
+    k = len(i_path)
+    levels: list[tuple[Path, ...]] = [((1,) * k,)]
+    # a contributing T has r + s - 1 <= k skeleton edges
+    for s in range(2, k - max(i_path) + 2):
+        level = tuple(
+            t_path
+            for t_path in enumerate_canonical_paths(k, s)
+            if is_even(degrees := build_delta(i_path, t_path)) and is_tree_skeleton(degrees)
+        )
+        if not level:
+            break
+        levels.append(level)
+    return tuple(levels)
 
 
 def core_polynomial(i_path: Path) -> tuple[Fraction, ...]:

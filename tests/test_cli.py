@@ -324,6 +324,14 @@ def test_main_exit_codes(tmp_path):
     assert main(["--help"]) == main(["moments", "--help"]) == 0
 
 
+def test_contributing_takes_no_mode(capsys):
+    # the tree walk is the only generator; the brute filter is a test oracle
+    assert main(["contributing", "--i", "1,2,1,2", "--mode", "brute"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--mode" in captured.err
+
+
 def test_boundary_past_the_support_bound_exits_1_before_printing():
     # gamma = 10^10 would walk about 10^10 points, one output line each
     done = subprocess.run(

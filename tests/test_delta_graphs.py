@@ -1,3 +1,6 @@
+import os
+from collections import Counter
+
 import pytest
 
 from heavymp.delta_graphs import (
@@ -6,20 +9,20 @@ from heavymp.delta_graphs import (
     is_even,
     is_tree_skeleton,
 )
-from heavymp.paths import PathClass, enumerate_class
-from oracles import irreducible_classes
+from heavymp.paths import PathClass, enumerate_canonical_paths, enumerate_class
+from oracles import brute_contributing_levels, irreducible_classes, singleton_free_paths
 
 
 def test_build_delta_single_t_vertex():
     graph = build_delta((1, 2, 1, 2), (1, 1, 1, 1))
-    assert graph.degrees == {(1, 1): 4, (2, 1): 4}
-    assert graph.t_vertices == {1}
+    assert graph == {(1, 1): 4, (2, 1): 4}
+    assert {t for _i, t in graph} == {1}
     assert is_even(graph) and is_tree_skeleton(graph)
 
 
 def test_build_delta_trivial():
     graph = build_delta((1,), (1,))
-    assert graph.degrees == {(1, 1): 2}
+    assert graph == {(1, 1): 2}
     assert is_even(graph) and is_tree_skeleton(graph)
 
 
@@ -27,8 +30,8 @@ def test_build_delta_figure_topology():
     # I = (i1, i2, i3), T = (t1, t2, t1): steps give edges
     # (i1,t1),(i2,t1),(i2,t2),(i3,t2),(i3,t1),(i1,t1)
     graph = build_delta((1, 2, 3), (1, 2, 1))
-    assert graph.degrees == {(1, 1): 2, (2, 1): 1, (2, 2): 1, (3, 2): 1, (3, 1): 1}
-    assert graph.n_edges == 5
+    assert graph == {(1, 1): 2, (2, 1): 1, (2, 2): 1, (3, 2): 1, (3, 1): 1}
+    assert list(graph) == sorted(graph)
 
 
 def test_build_delta_length_mismatch():
@@ -39,14 +42,14 @@ def test_build_delta_length_mismatch():
 def test_total_degree_is_2k():
     for i_path, t_path in [((1, 2, 1, 2), (1, 1, 2, 2)), ((1, 2, 3), (1, 2, 1))]:
         graph = build_delta(i_path, t_path)
-        assert sum(d for _e, d in graph.edge_degrees) == 2 * len(i_path)
+        assert sum(graph.values()) == 2 * len(i_path)
 
 
 def test_i_degree_sums():
     i_path, t_path = (1, 2, 1, 2, 3), (1, 2, 1, 2, 1)
     graph = build_delta(i_path, t_path)
     for i in set(i_path):
-        incident = sum(d for (a, _t), d in graph.edge_degrees if a == i)
+        incident = sum(d for (a, _t), d in graph.items() if a == i)
         assert incident == 2 * i_path.count(i)
 
 
@@ -59,7 +62,7 @@ def test_example_two_cycles_not_tree():
     assert is_even(graph)
     assert not is_tree_skeleton(graph)
     # cycle count = edges - vertices + 1 for a connected graph
-    assert graph.n_edges - (len(graph.i_vertices) + len(graph.t_vertices)) + 1 == 2
+    assert len(graph) - len(set(i_path)) - len(set(t2)) + 1 == 2
 
 
 def test_walk_matches_brute_force_up_to_length_8():
@@ -67,10 +70,22 @@ def test_walk_matches_brute_force_up_to_length_8():
     for k in range(4, 9):
         for r in range(2, k // 2 + 1):
             for i_path in enumerate_class(k, r, PathClass.IRREDUCIBLE):
-                fast = contributing_sets(i_path)
-                assert fast.levels == contributing_sets(i_path, mode="brute").levels
+                assert contributing_sets(i_path).levels == brute_contributing_levels(i_path)
                 checked += 1
     assert checked == 86
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("HEAVYMP_FULL_SCALE"),
+    reason="the brute filter over all cores of length 10 takes about 20 s; set HEAVYMP_FULL_SCALE=1",
+)
+@pytest.mark.parametrize("k, n_cores", [(9, 307), (10, 1_554)])
+def test_walk_matches_brute_force_at_lengths_9_and_10(k, n_cores):
+    cores = list(singleton_free_paths(k, run_free=True))
+    assert len(cores) == n_cores
+    for i_path in cores:
+        assert contributing_sets(i_path).levels == brute_contributing_levels(i_path)
 
 
 def _census_classes():
@@ -95,11 +110,11 @@ def test_walk_pair_count_over_census_classes():
 
 def tree_by_search(graph):
     """Reference tree test: edge count plus a depth-first connectivity search."""
-    n_vertices = len(graph.i_vertices) + len(graph.t_vertices)
-    if graph.n_edges != n_vertices - 1:
+    n_vertices = len({i for i, _t in graph}) + len({t for _i, t in graph})
+    if len(graph) != n_vertices - 1:
         return False
     adjacency = {}
-    for (i, t), _d in graph.edge_degrees:
+    for i, t in graph:
         adjacency.setdefault(("i", i), []).append(("t", t))
         adjacency.setdefault(("t", t), []).append(("i", i))
     start = next(iter(adjacency))
@@ -113,22 +128,20 @@ def tree_by_search(graph):
 
 
 def test_tree_test_matches_search():
-    from heavymp.delta_graphs import DeltaGraph
-    from heavymp.paths import enumerate_canonical_paths
-
-    graphs = [
-        build_delta(i_path, t_path)
-        for i_path in [(1, 2, 1, 2, 3, 2), (1, 2, 3, 1, 2, 3), (1, 2, 1, 3, 1, 3)]
-        for s in range(1, 5)
-        for t_path in enumerate_canonical_paths(len(i_path), s)
-    ]
-    # built by hand: a 4-cycle plus a separate edge has #vertices - 1 edges
-    # but is no tree (a graph built from a path pair is always connected)
-    cycle_and_edge = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
-    graphs.append(DeltaGraph(tuple((e, 2) for e in cycle_and_edge)))
-    for graph in graphs:
-        assert is_tree_skeleton(graph) == tree_by_search(graph)
-    assert not is_tree_skeleton(graphs[-1])
+    # the edge count alone decides, since a path pair's closed walk makes its
+    # graph connected; the search checks that premise on every pair with k <= 6
+    pairs = trees = 0
+    for k in range(1, 7):
+        paths = [p for r in range(1, k + 1) for p in enumerate_canonical_paths(k, r)]
+        for i_path in paths:
+            for t_path in paths:
+                graph = build_delta(i_path, t_path)
+                tree = is_tree_skeleton(graph)
+                assert tree == tree_by_search(graph)
+                pairs += 1
+                trees += tree
+    assert pairs == 44_168
+    assert 0 < trees < pairs
 
 
 def test_contributing_sets_1212():
@@ -145,12 +158,12 @@ def test_contributing_sets_level_two_example():
 
 
 def test_enumeration_cap_binds_brute_mode_only():
+    # the tree walk lists no canonical paths, so the enumeration cap K_MAX
+    # does not bind it
     core = (1, 2, 1, 2, 3, 4, 3, 4, 3, 5, 6, 5, 6)  # 13 letters, beyond K_MAX
     sets = contributing_sets(core)
     assert sets.levels[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1),)
     assert sets.t_star == 2
-    with pytest.raises(ValueError, match=r"\|I\|=13 exceeds k_max=12"):
-        contributing_sets(core, mode="brute")
 
 
 def test_contributing_sets_rejects_reducible():
@@ -200,15 +213,11 @@ def test_refinement_mode_matches_brute_force():
         (1, 2, 1, 3, 4, 3, 4, 3, 1, 2),
     ]
     for i_path in targets:
-        fast = contributing_sets(i_path, mode="refine")
-        slow = contributing_sets(i_path, mode="brute")
-        assert fast.levels == slow.levels
+        assert contributing_sets(i_path).levels == brute_contributing_levels(i_path)
 
 
 def test_monotone_emptiness_brute_force():
     # for s >= 2, once a level is empty all later levels are empty too
-    from heavymp.paths import enumerate_canonical_paths
-
     i_path = (1, 2, 1, 2, 3, 4, 3, 4, 3)
     k, r = len(i_path), max(i_path)
     seen_empty = False
@@ -230,5 +239,6 @@ def test_tree_degree_sum_identity():
         r = max(i_path)
         for s, t_path in sets.all_pairs():
             graph = build_delta(i_path, t_path)
-            assert sum(graph.i_degree(i) for i in range(1, r + 1)) == r + s - 1
-            assert graph.n_edges == r + s - 1
+            t_neighbours = Counter(i for i, _t in graph)
+            assert sum(t_neighbours[i] for i in range(1, r + 1)) == r + s - 1
+            assert len(graph) == r + s - 1

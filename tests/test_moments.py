@@ -30,6 +30,7 @@ from heavymp.moments import (
     mp_moment_exact,
 )
 from oracles import (
+    brute_contributing_levels,
     core_polynomial,
     dihedral_representative,
     gap_polynomial,
@@ -82,19 +83,22 @@ def test_limit_pF_rejects_reducible():
         limit_pF((1, 2, 3), 1.0, 0.2)
 
 
-def brute_limit_pF(i_path, alpha, gamma, mode="brute"):
-    """Direct summation of the limit formula over brute-forced levels."""
+def brute_limit_pF(i_path, alpha, gamma, levels=None):
+    """Direct summation of the limit formula over the given levels, by
+    default the brute-forced ones."""
     r = max(i_path)
-    sets = contributing_sets(i_path, mode=mode)
+    if levels is None:
+        levels = brute_contributing_levels(i_path)
     g1 = math.gamma(1 - alpha / 2)
     total = 0.0
-    for s, level in enumerate(sets.levels, start=1):
+    for s, level in enumerate(levels, start=1):
         for t_path in level:
-            graph = build_delta(i_path, t_path)
+            degrees = build_delta(i_path, t_path)
+            t_neighbours = Counter(i for i, _t in degrees)
             term = (alpha / 2 / g1) ** s
             for i in range(1, r + 1):
-                term *= math.gamma(graph.i_degree(i)) / math.gamma(i_path.count(i))
-            for _edge, degree in graph.edge_degrees:
+                term *= math.gamma(t_neighbours[i]) / math.gamma(i_path.count(i))
+            for degree in degrees.values():
                 term *= math.gamma((degree - alpha) / 2)
             total += term
     return (gamma / g1) ** (r - 1) * (2 / alpha) * total
@@ -126,11 +130,12 @@ def test_limit_pF_matches_gamma_function_oracle():
             )
     # below length 12 every I-vertex of a contributing pair has at most two
     # T-neighbours, so (deg_i - 1)! = 1; here one pair has a vertex with three,
-    # and its levels come from the walk, as mode="brute" would take too long
+    # and its levels come from the walk, as the brute filter would take too long
     core = (1, 2, 1, 2, 1, 3, 1, 3, 1, 4, 1, 4)
+    levels = contributing_sets(core).levels
     for alpha, gamma in FOLD_POINTS:
         assert limit_pF(core, alpha, gamma) == pytest.approx(
-            brute_limit_pF(core, alpha, gamma, mode="refine"), rel=1e-12
+            brute_limit_pF(core, alpha, gamma, levels), rel=1e-12
         )
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -38,6 +39,25 @@ paths_strategy = st.lists(st.integers(min_value=1, max_value=5), max_size=10).ma
 def test_canonicalize(path, expected):
     assert canonicalize(path) == expected
     assert is_canonical(canonicalize(path))
+
+
+def test_is_canonical_is_the_running_max_rule():
+    # canonical: every entry is positive and exceeds the running maximum by
+    # at most one
+    def running_max_rule(path):
+        top = 0
+        for v in path:
+            if v < 1 or v > top + 1:
+                return False
+            top = max(top, v)
+        return True
+
+    checked = 0
+    for k in range(7):
+        for path in product(range(-1, 6), repeat=k):
+            assert is_canonical(path) == running_max_rule(path)
+            checked += 1
+    assert checked == 137_257
 
 
 def test_path_partition_bijection_examples():
