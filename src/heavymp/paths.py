@@ -86,10 +86,15 @@ def shorten(path: Path) -> PSResult:
 def classify(path: Path) -> PathClass:
     if not is_canonical(path):
         raise ValueError(f"path {path} is not canonical")
-    result = shorten(path)
-    if not result.shortened:
+    return _class_of(path)
+
+
+def _class_of(path: Path) -> PathClass:
+    """The class of a path already known to be canonical."""
+    shortened = shorten(path).shortened
+    if not shortened:
         return PathClass.COMPLETELY_REDUCIBLE
-    if result.shortened == path:
+    if shortened == path:
         return PathClass.IRREDUCIBLE
     return PathClass.PARTIALLY_REDUCIBLE
 
@@ -122,5 +127,5 @@ def enumerate_canonical_paths(k: int, r: int) -> Iterator[Path]:
 def enumerate_class(k: int, r: int, path_class: PathClass) -> Iterator[Path]:
     """Canonical r-paths of length k in one reducibility class."""
     for path in enumerate_canonical_paths(k, r):
-        if classify(path) is path_class:
+        if _class_of(path) is path_class:
             yield path

@@ -11,8 +11,9 @@ Each stage has one implementation, the one ``run_replicate`` runs:
 ``_panels`` samples, ``_correlation`` forms R, and ``trace_moments`` or
 eigvalsh gives the moments.  A replicate holds at most ``_PANEL_COLUMNS``
 columns of its p x n sample at once.  It draws the sample as column panels,
-left to right, each in place in one reused p x w buffer, and sums the Gram
-matrix X X' from the panels' products X_b X_b'.
+left to right, each in place in one reused p x w buffer, and adds each
+panel's product X_b X_b' into the upper triangle of the Gram matrix X X' in
+place, with the BLAS that numpy bundles.
 
 Every run, from the library or the CLI, runs its replicates on one pool of
 ``SimConfig.threads`` threads and does all its BLAS and LAPACK on one
@@ -45,11 +46,21 @@ TRACE_K_CUT = 9
 
 # Widest column panel a replicate draws at once: n is split into
 # ceil(n / _PANEL_COLUMNS) contiguous panels whose widths differ by at most
-# one, so n <= _PANEL_COLUMNS is one p x n panel.  Each panel product after
-# the first adds a p x p triangle copy and an add to the Gram's cost: at
-# p=1000, n=5000 on one thread one product forms it in 122 ms, two panels
-# (20 MB each) in 126 ms, three in 130 ms and five in 141 ms.
+# one, so n <= _PANEL_COLUMNS is one p x n panel.  Each panel product is
+# added into the Gram's upper triangle in place, so more panels cost no
+# copy, add or buffer: at p=1000, n=5000 on one thread R takes 93-96 ms from
+# one, two (20 MB each), three or five panels.
+# Narrower panels would split n = 2500 and so change the acceptance tests'
+# sample streams.
 _PANEL_COLUMNS = 2500
+
+# Rows of R scaled and mirrored at once by ``_correlation``: 64 rows of the
+# norms' products at p=1000 hold 512 KB.
+_GRAM_BLOCK_ROWS = 64
+
+# cblas enum values for ``_blas_dsyrk``: row-major storage, upper triangle,
+# no transpose (C = alpha A A' + beta C)
+_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS = 101, 121, 111
 
 # Rows of t draws formed at once by ``_student_t``: 32 rows of a 2500-column
 # panel hold 640 KB, so a block's ufunc passes run in cache and its scratch
@@ -152,19 +163,21 @@ def _pareto(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.ndarr
 def _correlation(panels) -> np.ndarray:
     """R = Y Y' from the column panels X_b of the data: G = sum_b X_b X_b', then scaled.
 
-    BLAS forms each X_b X_b' as a symmetric rank-k update; the first is
-    written straight into G and each later one into a spare p x p buffer
-    and added, so G, and R = G / (|x_i| |x_j|), are exactly symmetric.  The
-    spare buffer then holds the outer product of the row norms.  R's
-    diagonal is set to exactly 1.
+    BLAS adds each X_b X_b' into G's upper triangle in place as a symmetric
+    rank-k update (``_add_panel_product``), so a replicate holds one panel
+    and G and no spare p x p buffer.  Then, ``_GRAM_BLOCK_ROWS`` rows at a
+    time, each block's part of the upper triangle on and right of its
+    diagonal is divided by the row norms' products |x_i| |x_j| and the
+    block's part left of its diagonal is copied from the transposed rows
+    above it, so R = G / (|x_i| |x_j|) is exactly symmetric.  R's diagonal
+    is set to exactly 1.
     """
     panels = iter(panels)
     first = next(panels)
-    gram = first @ first.T
-    spare = np.empty_like(gram)
+    gram = np.empty((first.shape[0],) * 2)
+    _add_panel_product(gram, first, beta=0.0)
     for panel in panels:
-        np.matmul(panel, panel.T, out=spare)
-        gram += spare
+        _add_panel_product(gram, panel, beta=1.0)
     sq_norms = np.diag(gram).copy()
     bad_rows = np.flatnonzero(~np.isfinite(sq_norms))
     if bad_rows.size:
@@ -176,9 +189,38 @@ def _correlation(panels) -> np.ndarray:
     if zero_rows.size:
         raise ValueError(f"row {zero_rows[0]} is identically zero; cannot normalize")
     norms = np.sqrt(sq_norms)
-    gram /= np.outer(norms, norms, out=spare)
+    below_diagonal = np.tri(_GRAM_BLOCK_ROWS, k=-1, dtype=bool)
+    p = gram.shape[0]
+    for start in range(0, p, _GRAM_BLOCK_ROWS):
+        stop = min(start + _GRAM_BLOCK_ROWS, p)
+        square = gram[start:stop, start:stop]
+        np.copyto(square, square.T, where=below_diagonal[: stop - start, : stop - start])
+        gram[start:stop, start:] /= norms[start:stop, None] * norms[start:]
+        gram[start:stop, :start] = gram[:start, start:stop].T
     np.fill_diagonal(gram, 1.0)
     return gram
+
+
+def _add_panel_product(gram: np.ndarray, panel: np.ndarray, beta: float) -> None:
+    """Set gram to beta * gram + X X' for the panel X, in place, in gram's upper triangle.
+
+    The bundled ``cblas_dsyrk`` (``_blas_dsyrk``) writes the upper triangle
+    only, the diagonal included, and leaves the rest of gram as it was.
+    numpy forms X X' by the same call with beta = 0, so a one-panel Gram is
+    bit for bit numpy's.  Without the symbol, numpy's product is written to
+    gram (beta = 0) or added to it (beta = 1), through one p x p temporary.
+    """
+    panel = np.ascontiguousarray(panel, dtype=np.float64)
+    dsyrk = _blas_dsyrk()
+    if dsyrk is None:
+        if beta:
+            gram += panel @ panel.T
+        else:
+            np.matmul(panel, panel.T, out=gram)
+        return
+    p, w = panel.shape
+    dsyrk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, p, w, 1.0, panel.ctypes.data, w,
+          beta, gram.ctypes.data, p)
 
 
 def trace_moments(corr: np.ndarray, k_max: int) -> np.ndarray:
@@ -301,27 +343,51 @@ def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
     return SpectralSample(replicate=replicate, eigenvalues=eigenvalues, moments=moments)
 
 
+def _bundled_blas(name: str, argtypes: list, restype):
+    """The function ``name`` of the BLAS numpy links, or None when it exports no such symbol.
+
+    dlsym on numpy's core extension also searches the libraries it links, so
+    this finds the OpenBLAS that numpy 2 bundles; numpy 1.x, which has no
+    ``np._core``, gives None.  ctypes releases the GIL for the call.
+    """
+    try:
+        function = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
+    except (AttributeError, OSError):
+        return None
+    function.argtypes = argtypes
+    function.restype = restype
+    return function
+
+
 @functools.cache
 def _blas_thread_setter():
     """OpenBLAS's ``openblas_set_num_threads_local``, or None when numpy has no such BLAS.
 
-    dlsym on numpy's core extension also searches the libraries it links, so
-    this finds the OpenBLAS that numpy bundles; MKL, Accelerate, numpy 1.x
-    and OpenBLAS < 0.3.27 give None.  The lookup relies on the bundled
-    ``libscipy_openblas64_`` exporting this one function under its plain
-    name (its other thread functions carry the ``scipy_openblas`` prefix and
-    ``64_`` suffix); a build that mangles it too gives None, which the tests
-    report as a failure when numpy names a bundled OpenBLAS.  The setter
-    returns the previous thread count and, despite its name, sets the count
-    for the whole process.
+    MKL, Accelerate, numpy 1.x and OpenBLAS < 0.3.27 give None.  The lookup
+    relies on the bundled ``libscipy_openblas64_`` exporting this one
+    function under its plain name (its other thread functions carry the
+    ``scipy_openblas`` prefix and ``64_`` suffix); a build that mangles it
+    too gives None, which the tests report as a failure when numpy names a
+    bundled OpenBLAS.  The setter returns the previous thread count and,
+    despite its name, sets the count for the whole process.
     """
-    try:
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
+    return _bundled_blas("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
+
+
+@functools.cache
+def _blas_dsyrk():
+    """``cblas_dsyrk`` of the 64-bit-integer OpenBLAS numpy bundles, or None.
+
+    The bundled ``libscipy_openblas64_`` exports it as
+    ``scipy_cblas_dsyrk64_``, with 64-bit sizes; MKL, Accelerate, numpy 1.x
+    and 32-bit-integer builds give None, and ``_add_panel_product`` falls
+    back to numpy's product.  The tests report None as a failure when numpy
+    names a bundled 64-bit-integer OpenBLAS.
+    """
+    size, enum, double, pointer = ctypes.c_int64, ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    # order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc
+    argtypes = [enum, enum, enum, size, size, double, pointer, size, double, pointer, size]
+    return _bundled_blas("scipy_cblas_dsyrk64_", argtypes, None)
 
 
 @contextlib.contextmanager

@@ -306,6 +306,92 @@ def test_correlation_matrix_zero_row():
         _correlation([np.array([[1.0, 2.0], [0.0, 0.0]])])
 
 
+def _numpy_formula(x):
+    """R as numpy forms it: X X' divided by the norms' outer product, with a unit diagonal."""
+    gram = x @ x.T
+    norms = np.sqrt(np.diag(gram))
+    corr = gram / np.outer(norms, norms)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@pytest.mark.parametrize(
+    "p", [1, 2, simulation._GRAM_BLOCK_ROWS, 2 * simulation._GRAM_BLOCK_ROWS + 5]
+)
+def test_one_panel_correlation_is_numpys_formula_bit_for_bit(p):
+    # numpy forms X X' by the same dsyrk call, so a one-panel run's outputs
+    # do not move when the Gram is accumulated in place
+    for dist, alpha in (("t", 1.0), ("pareto", 0.5), ("gaussian", None)):
+        (panel,) = simulation._panels(p, 300, dist, alpha, 5, 1)
+        assert np.array_equal(_correlation([panel]), _numpy_formula(panel))
+
+
+def test_three_panel_correlation_over_several_row_blocks():
+    # three panels accumulate into the upper triangle, and p spans three row
+    # blocks of the scaling and mirroring, the last one ragged
+    p, n = 2 * simulation._GRAM_BLOCK_ROWS + 3, 2 * simulation._PANEL_COLUMNS + 3
+    corr = _correlation(simulation._panels(p, n, "t", 1.0, 7, 0))
+    assert np.array_equal(corr, corr.T)
+    assert np.array_equal(np.diag(corr), np.ones(p))
+    oracle = reference_correlation(sample(p, n, "t", seed=7, alpha=1.0))
+    assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
+
+
+def test_correlation_takes_any_panel_layout():
+    # Fortran-ordered, strided and integer panels are copied to C order
+    # before the rank-k update; a float panel already in C order is not
+    rng = np.random.default_rng(12)
+    data = rng.integers(-9, 10, size=(2 * simulation._GRAM_BLOCK_ROWS + 1, 30))
+    wide = rng.standard_normal((data.shape[0], 40))
+    panels = [np.asfortranarray(data[:, :10].astype(float)), wide[:, ::2], data[:, 10:]]
+    corr = _correlation(panels)
+    oracle = reference_correlation(np.hstack([data[:, :10], wide[:, ::2], data[:, 10:]]))
+    assert np.array_equal(corr, corr.T)
+    assert np.array_equal(np.diag(corr), np.ones(data.shape[0]))
+    assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
+    for panel in panels:
+        assert np.array_equal(_correlation([panel]), _correlation([panel.astype(float, order="C")]))
+    assert np.array_equal(_correlation([np.array([[3, 4]]), np.array([[0.5]])]), [[1.0]])
+
+
+def test_correlation_peak_memory_is_the_gram_and_a_few_row_blocks():
+    # the panel products add into the Gram in place, with no spare p x p
+    # buffer beside it; scaling and mirroring a block of rows at a time
+    # adds two row blocks, 0.43 of a p x p matrix at p=300
+    _dsyrk_or_skip()
+    p = 300
+    panels = [np.random.default_rng(j).standard_normal((p, 200)) for j in range(3)]
+    _correlation(panels)  # numpy's one-off allocations are left out
+    tracemalloc.start()
+    try:
+        _correlation(panels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * p * p * 8
+
+
+def test_correlation_without_dsyrk_falls_back_to_numpys_product(tmp_path, monkeypatch):
+    # one panel: the fallback's bytes are the rank-k update's; three panels:
+    # the sums round differently, within 1e-12
+    p, three_panels = 20, 2 * simulation._PANEL_COLUMNS + 3
+    base = dict(p=p, dist="t", alpha=1.0, k_max=4, replicates=2, seed=15)
+    with_dsyrk = run_replicate(SimConfig(**base, n=three_panels), 1).moments
+    run_experiment(SimConfig(**base, n=300, out_dir=tmp_path / "dsyrk"))
+    monkeypatch.setattr(simulation, "_blas_dsyrk", lambda: None)
+    run_experiment(SimConfig(**base, n=300, out_dir=tmp_path / "fallback"))
+    for name in ("moments.csv", "summary.json"):
+        fallback_bytes = (tmp_path / "fallback" / name).read_bytes()
+        assert fallback_bytes == (tmp_path / "dsyrk" / name).read_bytes()
+    fallback = run_replicate(SimConfig(**base, n=three_panels), 1).moments
+    assert np.allclose(fallback, with_dsyrk, rtol=1e-12, atol=0)
+    corr = _correlation(simulation._panels(p, three_panels, "t", 1.0, 15, 1))
+    assert np.array_equal(corr, corr.T)
+    assert np.array_equal(np.diag(corr), np.ones(p))
+    oracle = reference_correlation(sample(p, three_panels, "t", seed=15, alpha=1.0, replicate=1))
+    assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
+
+
 def test_empirical_moments_basic():
     vals = np.array([1.0, 2.0, 3.0])
     m = empirical_moments(vals, 3)
@@ -386,13 +472,19 @@ def _blas_threads():
     return count
 
 
-def _numpy_bundled_openblas_version():
-    """The version of the OpenBLAS numpy says it bundles, or None for another BLAS."""
+def _numpy_bundled_openblas():
+    """numpy's build record of the OpenBLAS it says it bundles, or None for another BLAS."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         return None
-    if blas.get("name") != "scipy-openblas":
+    return blas if blas.get("name") == "scipy-openblas" else None
+
+
+def _numpy_bundled_openblas_version():
+    """The version of the OpenBLAS numpy says it bundles, or None for another BLAS."""
+    blas = _numpy_bundled_openblas()
+    if blas is None:
         return None
     return tuple(int(part) for part in blas["version"].split(".")[:3])
 
@@ -406,6 +498,30 @@ def _blas_setter_or_skip():
             pytest.fail(f"numpy bundles OpenBLAS {version} but no setter was found")
         pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
     return setter
+
+
+def _dsyrk_or_skip():
+    """Skip the test without the bundled dsyrk, unless numpy bundles a 64-bit-integer OpenBLAS."""
+    if simulation._blas_dsyrk() is None:
+        blas = _numpy_bundled_openblas()
+        if blas is not None and "USE64BITINT" in blas.get("openblas configuration", ""):
+            pytest.fail(f"numpy bundles 64-bit-integer OpenBLAS {blas['version']} but no dsyrk")
+        pytest.skip("numpy's BLAS exports no scipy_cblas_dsyrk64_")
+
+
+def test_dsyrk_is_found_and_updates_the_upper_triangle_only():
+    # small integer entries make every sum exact; a wrong integer width in
+    # the call's signature would misread the sizes and strides
+    _dsyrk_or_skip()
+    a = np.arange(-6.0, 9.0).reshape(3, 5)
+    b = np.arange(12.0).reshape(3, 4)
+    gram = np.full((3, 3), np.nan)
+    upper = np.triu_indices(3)
+    simulation._add_panel_product(gram, a, beta=0.0)
+    assert np.array_equal(gram[upper], (a @ a.T)[upper])
+    simulation._add_panel_product(gram, b, beta=1.0)
+    assert np.array_equal(gram[upper], (a @ a.T + b @ b.T)[upper])
+    assert np.all(np.isnan(gram[np.tril_indices(3, -1)]))
 
 
 @pytest.fixture
