@@ -297,10 +297,10 @@ def test_recursion_equals_the_tree_pair_sum(built):
             assert brute == mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
 
 
-def built_prefix(pythonpath):
-    """The table the build script writes for orders 1..7, run on ``pythonpath``."""
+def built_prefix(pythonpath, max_length=7):
+    """The table the build script writes for orders 1..max_length, run on ``pythonpath``."""
     done = subprocess.run(
-        [sys.executable, str(BUILD_SCRIPT), "--max-length", "7"],
+        [sys.executable, str(BUILD_SCRIPT), "--max-length", str(max_length)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     namespace = {}
@@ -308,9 +308,12 @@ def built_prefix(pythonpath):
     return namespace["D"]
 
 
-def test_build_script_writes_the_table_prefix():
-    # the script's output for orders 1..7 (d_1..d_3 are empty) carries the committed entries exactly
-    assert built_prefix(os.pathsep.join(sys.path)) == {k: _dtable.D[k] for k in range(1, 8)}
+@pytest.mark.parametrize("max_length", [1, 2, 7])
+def test_build_script_writes_the_table_prefix(max_length):
+    # the script's output for orders 1..max_length (d_1..d_3 are empty) carries the committed entries
+    # exactly; the fixed point makes no pass at length 1 and one at length 2
+    prefix = built_prefix(os.pathsep.join(sys.path), max_length)
+    assert prefix == {k: _dtable.D[k] for k in range(1, max_length + 1)}
 
 
 def test_build_script_needs_no_committed_table(tmp_path):
