@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from heavymp.paths import Path, is_canonical, shorten
+from heavymp.paths import Path, PathClass, classify, is_canonical
 
 
 def build_delta(i_path: Path, t_path: Path) -> dict[tuple[int, int], int]:
@@ -120,7 +120,7 @@ def contributing_sets(i_path: Path) -> ContributingSets:
         raise ValueError(f"path {i_path} is not canonical")
     if not i_path:
         raise ValueError("empty path")
-    if shorten(i_path).shortened != i_path:
+    if classify(i_path) is not PathClass.IRREDUCIBLE:
         raise ValueError(f"path {i_path} is reducible; shorten it first")
     found = _tree_walks(i_path)
     # no level below t* is empty, so levels[s - 1] is C_s(I)

@@ -8,13 +8,24 @@ r-partition of {1..k}, are listed by one walk over positions in lexicographic
 order; since they number up to Bell(k), the walk refuses k > ``K_MAX``.
 
 Shortening repeatedly removes *runs* (cyclically consecutive equal vertices)
-and *simple* vertices (appearing exactly once) until a fixpoint; the fixpoint
-together with the two removal counters classifies every path as completely
-reducible, irreducible or partially reducible.
+and *simple* vertices (appearing exactly once) until a fixpoint.  A path is
+completely reducible when the fixpoint is empty, irreducible when it is the
+non-empty path itself, up to relabelling, and partially reducible otherwise.
+Both named classes can be read off the path without shortening it:
+
+- irreducible: non-empty with no run and no simple vertex, since such a path
+  is its own fixpoint and every other non-empty path loses an entry in the
+  first pass;
+- completely reducible: no two labels cross (a..b..a..b), since a
+  non-crossing path has a label whose entries are cyclically consecutive,
+  which run erasure and then simple deletion remove, leaving a shorter
+  non-crossing path, while no removal undoes a crossing (an erased run entry
+  leaves its equal neighbour in place, and a crossing label is not simple).
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from enum import Enum
 from itertools import groupby
@@ -84,19 +95,23 @@ def shorten(path: Path) -> PSResult:
 
 
 def classify(path: Path) -> PathClass:
-    if not is_canonical(path):
-        raise ValueError(f"path {path} is not canonical")
-    return _class_of(path)
+    """The reducibility class of any path; it does not depend on the labels.
 
-
-def _class_of(path: Path) -> PathClass:
-    """The class of a path already known to be canonical."""
-    shortened = shorten(path).shortened
-    if not shortened:
-        return PathClass.COMPLETELY_REDUCIBLE
-    if shortened == path:
+    One stack pass looks for a crossing.  The open labels, those met before
+    and met again later, are kept innermost last, and a label met while it
+    is open but not innermost crosses the labels above it.
+    """
+    if path and all(map(operator.ne, path, path[1:] + path[:1])) and min(map(path.count, path)) > 1:
         return PathClass.IRREDUCIBLE
-    return PathClass.PARTIALLY_REDUCIBLE
+    open_labels: list[int] = []
+    for j, v in enumerate(path):
+        # an open label met again must be innermost; it is popped and pushed
+        # back if it is met again later still
+        if v in open_labels and open_labels.pop() != v:
+            return PathClass.PARTIALLY_REDUCIBLE
+        if v in path[j + 1:]:
+            open_labels.append(v)
+    return PathClass.COMPLETELY_REDUCIBLE
 
 
 def enumerate_canonical_paths(k: int, r: int) -> Iterator[Path]:
@@ -127,5 +142,5 @@ def enumerate_canonical_paths(k: int, r: int) -> Iterator[Path]:
 def enumerate_class(k: int, r: int, path_class: PathClass) -> Iterator[Path]:
     """Canonical r-paths of length k in one reducibility class."""
     for path in enumerate_canonical_paths(k, r):
-        if _class_of(path) is path_class:
+        if classify(path) is path_class:
             yield path

@@ -8,7 +8,8 @@ walk (singleton-free paths, irreducible classes, the polynomials Q_l summed
 over them and d_k reassembled from Q_4..Q_k) serve here as independent
 oracles.  Contributing sets filtered from all canonical column paths check
 the tree walk that generates them.  Path shortening that erases one run at a
-time, restarting after each, checks the engine's one-sweep erasure.  The
+time, restarting after each, checks the engine's one-sweep erasure, and the
+class of a path's shortening fixpoint checks the class read off the path.  The
 finite-(p, n) moment expectations check the Monte Carlo engine against
 numbers that carry no n -> infinity bias.  The engine's own column panels,
 copied side by side, give a replicate's whole sample, and a correlation
@@ -31,6 +32,7 @@ from heavymp.delta_graphs import build_delta, contributing_sets, is_even, is_tre
 from heavymp.moments import _check_alpha, _check_gamma
 from heavymp.paths import (
     Path,
+    PathClass,
     PSResult,
     canonicalize,
     enumerate_canonical_paths,
@@ -110,6 +112,16 @@ def enumerate_simples(k: int, r: int, q: int) -> Iterator[Path]:
         result = shorten(path)
         if result.shortened and result.simples == q:
             yield path
+
+
+def class_by_shortening(path: Path) -> PathClass:
+    """The class of a canonical path named by its shortening fixpoint."""
+    shortened = shorten(path).shortened
+    if not shortened:
+        return PathClass.COMPLETELY_REDUCIBLE
+    if shortened == path:
+        return PathClass.IRREDUCIBLE
+    return PathClass.PARTIALLY_REDUCIBLE
 
 
 def restart_loop_shorten(path: Path) -> PSResult:

@@ -167,10 +167,13 @@ def test_enumeration_cap_binds_brute_mode_only():
 
 
 def test_contributing_sets_rejects_reducible():
-    with pytest.raises(ValueError):
-        contributing_sets((1, 2, 3))
-    with pytest.raises(ValueError):
-        contributing_sets((2, 1))  # not canonical
+    for path in ((1, 2, 3), (1, 1), (1, 2, 1, 2, 1), (1, 2, 1, 2, 3, 3)):
+        with pytest.raises(ValueError) as error:
+            contributing_sets(path)
+        assert str(error.value) == f"path {path} is reducible; shorten it first"
+    with pytest.raises(ValueError) as error:
+        contributing_sets((2, 1))
+    assert str(error.value) == "path (2, 1) is not canonical"
 
 
 def test_level_two_empty_for_short_irreducible_paths():

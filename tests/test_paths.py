@@ -16,6 +16,7 @@ from heavymp.paths import (
     shorten,
 )
 from oracles import (
+    class_by_shortening,
     dihedral_representative,
     enumerate_simples,
     irreducible_classes,
@@ -156,10 +157,31 @@ def test_simples_bounds():
         ((1, 2, 3), PathClass.COMPLETELY_REDUCIBLE),
         ((1, 2, 1, 2), PathClass.IRREDUCIBLE),
         ((1, 2, 1, 2, 3, 3), PathClass.PARTIALLY_REDUCIBLE),
+        ((), PathClass.COMPLETELY_REDUCIBLE),
+        ((1,), PathClass.COMPLETELY_REDUCIBLE),
+        ((2, 1, 2, 1), PathClass.IRREDUCIBLE),
+        ((2, 1, 2, 1, 3, 3), PathClass.PARTIALLY_REDUCIBLE),
     ],
 )
 def test_classify(path, expected):
     assert classify(path) is expected
+
+
+def test_classify_reads_the_class_off_the_path():
+    checked = 0
+    for k in range(1, 11):
+        for r in range(1, k + 1):
+            for path in enumerate_canonical_paths(k, r):
+                assert classify(path) is class_by_shortening(path)
+                checked += 1
+    assert checked == 142_417
+
+    # the class does not depend on how the labels are numbered
+    @given(st.lists(st.integers(min_value=1, max_value=5), max_size=14).map(tuple))
+    def relabelled(path):
+        assert classify(path) is class_by_shortening(canonicalize(path))
+
+    relabelled()
 
 
 def test_enumerate_counts_match_stirling():
@@ -172,17 +194,24 @@ def test_enumerate_counts_match_stirling():
 
 
 def test_c0_filter_matches_closed_form():
-    for k in range(1, 9):
+    for k in range(1, 11):
         for r in range(1, k + 1):
             filtered = sum(1 for _ in enumerate_class(k, r, PathClass.COMPLETELY_REDUCIBLE))
             assert filtered == count_c0(k, r)
 
 
 def test_c1_filter_matches_partition_conditions():
-    for k in range(1, 9):
+    for k in range(1, 11):
         for r in range(1, k + 1):
             filtered = sum(1 for _ in enumerate_class(k, r, PathClass.IRREDUCIBLE))
             assert filtered == count_irreducible(k, r)
+
+
+def test_c2_filter_is_the_rest():
+    for k in range(1, 11):
+        for r in range(1, k + 1):
+            filtered = sum(1 for _ in enumerate_class(k, r, PathClass.PARTIALLY_REDUCIBLE))
+            assert filtered == stirling2(k, r) - count_c0(k, r) - count_irreducible(k, r)
 
 
 def test_only_irreducible_length4_path():
