@@ -10,6 +10,11 @@ deterministic given their flags (and seed).  ``simulate`` and ``compare`` pass
 --threads to the engine as given: without it, the engine picks the replicate
 thread count.
 
+The engines write no file: this module formats every output, floats in 17
+significant digits, which round-trip a float64.  ``simulate`` writes its
+files under --out only once every replicate is done, so a rejected argument
+or a numeric failure leaves no --out behind.
+
 The parser is built once, at import, on the standard library's argparse, so
 a call only parses.  Only ``simulate`` and ``compare`` import the Monte Carlo
 engine, and with it numpy; only ``paths``, ``delta`` and ``contributing``
@@ -21,15 +26,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FilePath
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 from heavymp import combinatorics, moments
-from heavymp._common import DISTRIBUTIONS, _fmt
+from heavymp._common import DISTRIBUTIONS
 
 if TYPE_CHECKING:
     from heavymp import paths
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
 
 
 def _parse_path(text: str, flag: str) -> paths.Path:
@@ -117,7 +127,7 @@ def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
 def boundary(gamma: float, kmax: int) -> None:
     """Small-tail-index boundary law: pmf and moments."""
     law = moments.boundary_modified_poisson(gamma)
-    support = law.support(tail_tol=1e-12)
+    support = law.support()
     print("j,pmf")
     for j in support:
         print(f"{j},{_fmt(law.pmf(j))}")
@@ -129,9 +139,12 @@ def boundary(gamma: float, kmax: int) -> None:
 def _parse_hist(text: str) -> tuple[int, float, float]:
     try:
         bins, lo, hi = text.split(":")
-        return int(bins), float(lo), float(hi)
+        bins, lo, hi = int(bins), float(lo), float(hi)
     except ValueError:
         raise ValueError(f"--hist must be BINS:LO:HI, got {text!r}") from None
+    if bins < 1 or not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"hist needs BINS >= 1 and finite LO < HI, got {bins}:{lo}:{hi}")
+    return bins, lo, hi
 
 
 def simulate(
@@ -148,14 +161,49 @@ def simulate(
     save_eigenvalues: bool,
 ) -> None:
     """Simulate replicates and write moments.csv / summary.json to --out."""
+    import numpy as np
+
     from heavymp import simulation
 
     hist = _parse_hist(hist_text) if hist_text else None
     config = simulation.SimConfig(
         p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
-        out_dir=out, threads=threads, hist=hist, save_eigenvalues=save_eigenvalues,
+        threads=threads, spectrum=hist is not None or save_eigenvalues,
     )
-    for path in simulation.run_experiment(config).written:
+    report = simulation.run_experiment(config)
+    written = []
+
+    def write(name: str, lines) -> None:
+        path = out / name
+        path.write_text("\n".join(lines) + "\n")
+        written.append(path)
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        header = "replicate," + ",".join(f"m{k}" for k in range(1, k_max + 1))
+        write("moments.csv", [header] + [
+            f"{s.replicate}," + ",".join(map(_fmt, s.moments)) for s in report.samples
+        ])
+        summary = {
+            "p": p, "n": n, "dist": dist, "alpha": alpha, "k_max": k_max,
+            "replicates": replicates, "seed": seed,
+            "mean_moments": report.mean_moments.tolist(),
+            "std_moments": report.std_moments.tolist(),
+        }
+        write("summary.json", [json.dumps(summary, indent=2)])
+        if save_eigenvalues:
+            for s in report.samples:
+                write(f"eigenvalues_{s.replicate}.csv", map(_fmt, s.eigenvalues))
+        if hist is not None:
+            bins, lo, hi = hist
+            pooled = np.concatenate([s.eigenvalues for s in report.samples])
+            densities, edges = np.histogram(pooled, bins=bins, range=(lo, hi), density=True)
+            write("hist.csv", ["bin_lo,bin_hi,density"] + [
+                f"{_fmt(a)},{_fmt(b)},{_fmt(d)}" for a, b, d in zip(edges, edges[1:], densities)
+            ])
+    except OSError as exc:
+        raise OSError(f"failed writing experiment output under {out}: {exc}") from exc
+    for path in written:
         print(f"wrote {path}")
 
 

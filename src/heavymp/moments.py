@@ -179,21 +179,18 @@ class ModifiedPoisson(NamedTuple):
             return 1.0
         return boundary_moment_alpha0(self.gamma, k)
 
-    def support(self, tail_tol: float = 1e-15) -> range:
-        """0, 1, 2, ... until the remaining tail mass drops to tail_tol or below.
+    def support(self) -> range:
+        """0, 1, 2, ... until the remaining tail mass drops to 1e-12 or below.
 
-        The walk is done before it returns, so a tail_tol <= 0, which the
-        rounded masses may never reach, or a walk past 10^6 points (gamma
+        The walk is done before it returns, so a walk past 10^6 points (gamma
         from about 10^6) is a ValueError before any point is used.
         """
-        if not tail_tol > 0:
-            raise ValueError(f"tail_tol must be positive, got {tail_tol}")
         remaining = 1.0
         for k in range(10**6 + 1):
-            if remaining <= tail_tol:
+            if remaining <= 1e-12:
                 return range(k)
             remaining -= self.pmf(k)
-        raise ValueError(f"support of gamma={self.gamma} passes 10^6 points above tail {tail_tol}")
+        raise ValueError(f"support of gamma={self.gamma} passes 10^6 points above tail 1e-12")
 
 
 def boundary_modified_poisson(gamma: float) -> ModifiedPoisson:

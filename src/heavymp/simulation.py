@@ -5,7 +5,8 @@ row-self-normalized correlation matrix R = Y Y', computes its empirical
 moments (from the spectrum, or from traces of matrix powers when no spectrum
 is needed), and aggregates replicates reproducibly: replicate j draws from a
 stream spawned from the master seed, so results are independent of how
-replicates are scheduled.
+replicates are scheduled.  The engine only computes: it writes no file, and
+``heavymp simulate`` (``cli.simulate``) writes a run's outputs.
 
 Each stage has one implementation, the one ``run_replicate`` runs:
 ``_panels`` samples, ``_correlation`` forms R, and ``trace_moments`` or
@@ -27,16 +28,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path as FilePath
 
 import numpy as np
 
-from heavymp._common import DISTRIBUTIONS, _fmt
+from heavymp._common import DISTRIBUTIONS
 
 # Below this k_max a replicate that needs no spectrum takes its moments from
 # matrix products instead of eigvalsh: at p=1000 on one thread the products
@@ -276,12 +275,11 @@ class SimConfig:
     k_max: int
     replicates: int
     seed: int
-    out_dir: FilePath | None = None
     # replicate threads; None is one per usable core (``_usable_cores``), at
     # most one per replicate, resolved when the run starts
     threads: int | None = None
-    hist: tuple[int, float, float] | None = None  # (bins, lo, hi)
-    save_eigenvalues: bool = False
+    # keep each replicate's spectrum in its SpectralSample
+    spectrum: bool = False
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.n < 1:
@@ -298,15 +296,11 @@ class SimConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.hist is not None:
-            bins, lo, hi = self.hist
-            if bins < 1 or not -math.inf < lo < hi < math.inf:
-                raise ValueError(f"hist needs BINS >= 1 and finite LO < HI, got {bins}:{lo}:{hi}")
 
     @property
     def needs_spectrum(self) -> bool:
-        """A histogram, saved eigenvalues or k_max >= TRACE_K_CUT need eigvalsh."""
-        return self.hist is not None or self.save_eigenvalues or self.k_max >= TRACE_K_CUT
+        """A kept spectrum or k_max >= TRACE_K_CUT needs eigvalsh."""
+        return self.spectrum or self.k_max >= TRACE_K_CUT
 
 
 @dataclass(frozen=True)
@@ -315,9 +309,6 @@ class ExperimentReport:
     samples: tuple[SpectralSample, ...]
     mean_moments: np.ndarray
     std_moments: np.ndarray
-    hist_densities: np.ndarray | None = None
-    hist_edges: np.ndarray | None = None
-    written: tuple[FilePath, ...] = field(default_factory=tuple)
 
     def stderr_moments(self) -> np.ndarray:
         return self.std_moments / np.sqrt(len(self.samples))
@@ -419,65 +410,4 @@ def run_experiment(config: SimConfig) -> ExperimentReport:
     moments = np.vstack([s.moments for s in samples])
     mean = moments.mean(axis=0)
     std = moments.std(axis=0, ddof=1) if len(samples) > 1 else np.zeros_like(mean)
-
-    hist_densities = hist_edges = None
-    if config.hist is not None:
-        bins, lo, hi = config.hist
-        pooled = np.concatenate([s.eigenvalues for s in samples])
-        hist_densities, hist_edges = np.histogram(pooled, bins=bins, range=(lo, hi), density=True)
-
-    written: tuple[FilePath, ...] = ()
-    report = ExperimentReport(config, samples, mean, std, hist_densities, hist_edges, written)
-    if config.out_dir is not None:
-        report = _write_report(report)
-    return report
-
-
-def _write_report(report: ExperimentReport) -> ExperimentReport:
-    config = report.config
-    out_dir = FilePath(config.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written: list[FilePath] = []
-
-        moments_path = out_dir / "moments.csv"
-        header = "replicate," + ",".join(f"m{k}" for k in range(1, config.k_max + 1))
-        lines = [header]
-        for s in report.samples:
-            lines.append(f"{s.replicate}," + ",".join(_fmt(m) for m in s.moments))
-        moments_path.write_text("\n".join(lines) + "\n")
-        written.append(moments_path)
-
-        summary = {
-            "p": config.p,
-            "n": config.n,
-            "dist": config.dist,
-            "alpha": config.alpha,
-            "k_max": config.k_max,
-            "replicates": config.replicates,
-            "seed": config.seed,
-            "mean_moments": [float(m) for m in report.mean_moments],
-            "std_moments": [float(m) for m in report.std_moments],
-        }
-        summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-        written.append(summary_path)
-
-        if config.save_eigenvalues:
-            for s in report.samples:
-                path = out_dir / f"eigenvalues_{s.replicate}.csv"
-                path.write_text("\n".join(_fmt(v) for v in s.eigenvalues) + "\n")
-                written.append(path)
-
-        if report.hist_densities is not None:
-            hist_path = out_dir / "hist.csv"
-            rows = ["bin_lo,bin_hi,density"]
-            edges = report.hist_edges
-            for i, d in enumerate(report.hist_densities):
-                rows.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(d)}")
-            hist_path.write_text("\n".join(rows) + "\n")
-            written.append(hist_path)
-    except OSError as exc:
-        raise OSError(f"failed writing experiment output under {out_dir}: {exc}") from exc
-
-    return replace(report, written=tuple(written))
+    return ExperimentReport(config, samples, mean, std)

@@ -222,8 +222,7 @@ def test_criterion_7_property_suites():
     details = []
 
     config = simulation.SimConfig(
-        p=100, n=500, dist="t", alpha=1.0, k_max=4, replicates=10, seed=77,
-        save_eigenvalues=True,
+        p=100, n=500, dist="t", alpha=1.0, k_max=4, replicates=10, seed=77, spectrum=True,
     )
     for sample in simulation.run_experiment(config).samples:
         ok = ok and abs(sample.moments[0] - 1.0) < 1e-8

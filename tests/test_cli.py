@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from heavymp import cli as cli_module
@@ -130,6 +131,46 @@ def test_simulate_writes_outputs(tmp_path):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "moments.csv").exists()
     assert (tmp_path / "summary.json").exists()
+
+
+def test_simulate_files_are_the_engine_report_bit_for_bit(tmp_path):
+    # every number written parses back to the engine's float64, and hist.csv
+    # is numpy's histogram of the pooled spectra
+    result = run(
+        "simulate", "--p", "12", "--n", "40", "--dist", "pareto", "--alpha", "0.7", "--k", "4",
+        "--replicates", "3", "--seed", "6", "--hist", "15:0:6", "--save-eigenvalues",
+        "--out", str(tmp_path),
+    )
+    assert result.exit_code == 0, result.output
+    report = simulation.run_experiment(simulation.SimConfig(
+        p=12, n=40, dist="pareto", alpha=0.7, k_max=4, replicates=3, seed=6, spectrum=True,
+    ))
+    names = ["moments.csv", "summary.json", "eigenvalues_0.csv", "eigenvalues_1.csv",
+             "eigenvalues_2.csv", "hist.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    assert result.output == "".join(f"wrote {tmp_path / name}\n" for name in names)
+
+    lines = (tmp_path / "moments.csv").read_text().splitlines()
+    assert lines[0] == "replicate,m1,m2,m3,m4"
+    for line, sample in zip(lines[1:], report.samples, strict=True):
+        replicate, *values = line.split(",")
+        assert int(replicate) == sample.replicate
+        assert np.array_equal(np.array(values, dtype=float), sample.moments)
+    assert json.loads((tmp_path / "summary.json").read_text()) == {
+        "p": 12, "n": 40, "dist": "pareto", "alpha": 0.7, "k_max": 4, "replicates": 3,
+        "seed": 6, "mean_moments": list(report.mean_moments),
+        "std_moments": list(report.std_moments),
+    }
+    for sample in report.samples:
+        text = (tmp_path / f"eigenvalues_{sample.replicate}.csv").read_text()
+        assert np.array_equal(np.array(text.splitlines(), dtype=float), sample.eigenvalues)
+
+    pooled = np.concatenate([sample.eigenvalues for sample in report.samples])
+    densities, edges = np.histogram(pooled, bins=15, range=(0.0, 6.0), density=True)
+    lines = (tmp_path / "hist.csv").read_text().splitlines()
+    assert lines[0] == "bin_lo,bin_hi,density"
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert np.array_equal(rows, np.column_stack([edges[:-1], edges[1:], densities]))
 
 
 def test_simulate_byte_identical_across_threads(tmp_path):

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from heavymp import simulation
+from heavymp import cli, simulation
 from heavymp.simulation import (
     TRACE_K_CUT,
     SimConfig,
@@ -26,6 +26,19 @@ from oracles import (
     sample,
     self_normalized_fourth_moment,
 )
+
+
+def assert_same_moments(report, expected):
+    """Each replicate's moments and the mean and std moments agree bit for bit.
+
+    moments.csv and summary.json print these in 17 digits, which round-trip a
+    float64, so equal arrays are equal files.
+    """
+    assert [s.replicate for s in report.samples] == [s.replicate for s in expected.samples]
+    for sample, other in zip(report.samples, expected.samples):
+        assert np.array_equal(sample.moments, other.moments)
+    assert np.array_equal(report.mean_moments, expected.mean_moments)
+    assert np.array_equal(report.std_moments, expected.std_moments)
 
 
 def test_sample_matrix_deterministic():
@@ -273,11 +286,7 @@ def test_eigenvalues_kept_exactly_when_needed():
     spectrum = np.linalg.eigvalsh(_correlation(simulation._panels(20, 60, "t", 1.0, 3, 0)))
     trace_only = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
     assert trace_only.eigenvalues is None
-    for extra in (
-        dict(k_max=4, hist=(10, 0.0, 5.0)),
-        dict(k_max=4, save_eigenvalues=True),
-        dict(k_max=TRACE_K_CUT),
-    ):
+    for extra in (dict(k_max=4, spectrum=True), dict(k_max=TRACE_K_CUT)):
         sample = run_replicate(SimConfig(**base, **extra), 0)
         assert np.array_equal(sample.eigenvalues, spectrum)
         shared = min(sample.moments.size, trace_only.moments.size)
@@ -371,18 +380,15 @@ def test_correlation_peak_memory_is_the_gram_and_a_few_row_blocks():
     assert peak < 1.5 * p * p * 8
 
 
-def test_correlation_without_dsyrk_falls_back_to_numpys_product(tmp_path, monkeypatch):
-    # one panel: the fallback's bytes are the rank-k update's; three panels:
-    # the sums round differently, within 1e-12
+def test_correlation_without_dsyrk_falls_back_to_numpys_product(monkeypatch):
+    # one panel: the fallback's moments are the rank-k update's bit for bit;
+    # three panels: the sums round differently, within 1e-12
     p, three_panels = 20, 2 * simulation._PANEL_COLUMNS + 3
     base = dict(p=p, dist="t", alpha=1.0, k_max=4, replicates=2, seed=15)
     with_dsyrk = run_replicate(SimConfig(**base, n=three_panels), 1).moments
-    run_experiment(SimConfig(**base, n=300, out_dir=tmp_path / "dsyrk"))
+    one_panel = run_experiment(SimConfig(**base, n=300))
     monkeypatch.setattr(simulation, "_blas_dsyrk", lambda: None)
-    run_experiment(SimConfig(**base, n=300, out_dir=tmp_path / "fallback"))
-    for name in ("moments.csv", "summary.json"):
-        fallback_bytes = (tmp_path / "fallback" / name).read_bytes()
-        assert fallback_bytes == (tmp_path / "dsyrk" / name).read_bytes()
+    assert_same_moments(run_experiment(SimConfig(**base, n=300)), one_panel)
     fallback = run_replicate(SimConfig(**base, n=three_panels), 1).moments
     assert np.allclose(fallback, with_dsyrk, rtol=1e-12, atol=0)
     corr = _correlation(simulation._panels(p, three_panels, "t", 1.0, 15, 1))
@@ -398,22 +404,25 @@ def test_empirical_moments_basic():
     assert np.allclose(m, [2.0, 14 / 3, 12.0])
 
 
-def test_esd_histogram_normalized():
+def test_esd_histogram_normalized(tmp_path):
     # the spectrum of R lies in [0, p], inside [lo, hi], so the pooled
     # histogram integrates to 1 and each bin holds a whole number of the
     # p * replicates eigenvalues
-    config = SimConfig(p=10, n=30, dist="t", alpha=1.0, k_max=2, replicates=3, seed=4,
-                       hist=(20, -1.0, 11.0))
-    report = run_experiment(config)
-    mass = report.hist_densities * np.diff(report.hist_edges)
+    p, replicates = 10, 3
+    assert cli.main(["simulate", "--p", str(p), "--n", "30", "--dist", "t", "--alpha", "1",
+                     "--k", "2", "--replicates", str(replicates), "--seed", "4",
+                     "--hist", "20:-1:11", "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "hist.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (20, 3)
+    mass = rows[:, 2] * (rows[:, 1] - rows[:, 0])
     assert np.sum(mass) == pytest.approx(1.0)
-    counts = mass * config.p * config.replicates
+    counts = mass * p * replicates
     assert np.allclose(counts, np.round(counts), rtol=0, atol=1e-9)
 
 
 def test_replicate_invariants():
     config = SimConfig(
-        p=40, n=200, dist="t", alpha=1.0, k_max=4, replicates=1, seed=5, save_eigenvalues=True
+        p=40, n=200, dist="t", alpha=1.0, k_max=4, replicates=1, seed=5, spectrum=True
     )
     sample = run_replicate(config, 0)
     assert abs(sample.eigenvalues.sum() - config.p) <= 1e-6 * config.p
@@ -424,29 +433,22 @@ def test_replicate_invariants():
 def test_p_larger_than_n_gives_zero_mass():
     # rank of R is at most n, so at least p - n eigenvalues vanish
     config = SimConfig(
-        p=30, n=10, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=9,
-        save_eigenvalues=True,
+        p=30, n=10, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=9, spectrum=True
     )
     sample = run_replicate(config, 0)
     assert np.sum(np.abs(sample.eigenvalues) < 1e-10) >= config.p - config.n
 
 
-def test_run_experiment_deterministic_across_threads(tmp_path):
+def test_run_experiment_deterministic_across_threads():
     # one panel, then three
     for n in (60, 2 * simulation._PANEL_COLUMNS + 3):
         base = dict(p=20, n=n, dist="t", alpha=1.0, k_max=3, replicates=6, seed=123)
-        one, three = tmp_path / f"{n}-a", tmp_path / f"{n}-b"
-        r1 = run_experiment(SimConfig(**base, out_dir=one, threads=1))
-        r2 = run_experiment(SimConfig(**base, out_dir=three, threads=3))
-        for name in ("moments.csv", "summary.json"):
-            assert (one / name).read_bytes() == (three / name).read_bytes()
-        assert np.array_equal(r1.mean_moments, r2.mean_moments)
+        r1 = run_experiment(SimConfig(**base, threads=1))
+        assert_same_moments(run_experiment(SimConfig(**base, threads=3)), r1)
 
 
 @pytest.mark.parametrize("replicates, expected", [(5, 3), (2, 2)])
-def test_run_experiment_default_threads_are_the_usable_cores(
-    tmp_path, monkeypatch, replicates, expected
-):
+def test_run_experiment_default_threads_are_the_usable_cores(monkeypatch, replicates, expected):
     monkeypatch.setattr(simulation, "_usable_cores", lambda: 3)
     pool_sizes = []
 
@@ -457,11 +459,9 @@ def test_run_experiment_default_threads_are_the_usable_cores(
 
     monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
     base = dict(p=20, n=60, dist="t", alpha=1.0, k_max=6, replicates=replicates, seed=8)
-    run_experiment(SimConfig(**base, out_dir=tmp_path / "default"))
-    run_experiment(SimConfig(**base, out_dir=tmp_path / "one", threads=1))
+    default = run_experiment(SimConfig(**base))
+    assert_same_moments(run_experiment(SimConfig(**base, threads=1)), default)
     assert pool_sizes == [expected, 1]
-    for name in ("moments.csv", "summary.json"):
-        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def _blas_threads():
@@ -561,67 +561,51 @@ def test_moments_only_run_pins_blas_and_restores_it(blas_two_threads, monkeypatc
 def test_spectrum_run_pins_blas_and_restores_it(blas_two_threads, monkeypatch):
     seen = _record_blas_threads(monkeypatch)
     base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=6)
-    for extra in (
-        dict(k_max=4, hist=(10, 0.0, 5.0)),
-        dict(k_max=4, save_eigenvalues=True),
-        dict(k_max=TRACE_K_CUT),
-    ):
+    for extra in (dict(k_max=4, spectrum=True), dict(k_max=TRACE_K_CUT)):
         config = SimConfig(**base, **extra)
         assert config.needs_spectrum
         run_experiment(config)
         assert _blas_threads() == 2
-    assert seen == [1, 1, 1]
+    assert seen == [1, 1]
 
 
-def test_spectrum_run_independent_of_the_blas_thread_count(tmp_path):
+def test_spectrum_run_independent_of_the_blas_thread_count():
     # at p=400 a spectrum on 2 OpenBLAS threads differs in its last bits from one on 1
     setter = _blas_setter_or_skip()
-    base = dict(p=400, n=1250, dist="pareto", alpha=0.5, k_max=9, replicates=1, seed=1,
-                save_eigenvalues=True)
+    config = SimConfig(p=400, n=1250, dist="pareto", alpha=0.5, k_max=9, replicates=1, seed=1,
+                       spectrum=True)
+    reports = []
     for count in (1, 2):
         previous = setter(count)
         try:
-            run_experiment(SimConfig(**base, out_dir=tmp_path / str(count)))
+            reports.append(run_experiment(config))
         finally:
             setter(previous)
-    for name in ("eigenvalues_0.csv", "moments.csv", "summary.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    assert_same_moments(*reports)
+    assert np.array_equal(reports[0].samples[0].eigenvalues, reports[1].samples[0].eigenvalues)
 
 
-def test_run_without_blas_setter_matches_pinned_run(tmp_path, monkeypatch):
+def test_run_without_blas_setter_matches_pinned_run(monkeypatch):
     # without the setter the run is unpinned, so BLAS is set to 1 thread by
-    # hand, as OPENBLAS_NUM_THREADS=1 would, to compare bytes
+    # hand, as OPENBLAS_NUM_THREADS=1 would, to compare bits
     setter = _blas_setter_or_skip()
     base = dict(p=100, n=500, dist="t", alpha=1.0, k_max=8, replicates=2, seed=2)
-    run_experiment(SimConfig(**base, out_dir=tmp_path / "pinned"))
+    pinned = run_experiment(SimConfig(**base))
     monkeypatch.setattr(simulation, "_blas_thread_setter", lambda: None)
     previous = setter(1)
     try:
-        run_experiment(SimConfig(**base, out_dir=tmp_path / "unpinned", threads=2))
+        unpinned = run_experiment(SimConfig(**base, threads=2))
     finally:
         setter(previous)
-    for name in ("moments.csv", "summary.json"):
-        assert (tmp_path / "unpinned" / name).read_bytes() == (
-            tmp_path / "pinned" / name
-        ).read_bytes()
+    assert_same_moments(unpinned, pinned)
     spectrum = run_experiment(SimConfig(**{**base, "k_max": TRACE_K_CUT, "replicates": 1}))
     assert spectrum.samples[0].eigenvalues.size == base["p"]
 
 
 def test_run_experiment_outputs(tmp_path):
-    config = SimConfig(
-        p=10,
-        n=30,
-        dist="gaussian",
-        alpha=None,
-        k_max=3,
-        replicates=4,
-        seed=1,
-        out_dir=tmp_path,
-        hist=(10, 0.0, 3.0),
-        save_eigenvalues=True,
-    )
-    report = run_experiment(config)
+    assert cli.main(["simulate", "--p", "10", "--n", "30", "--dist", "gaussian", "--k", "3",
+                     "--replicates", "4", "--seed", "1", "--hist", "10:0:3",
+                     "--save-eigenvalues", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "moments.csv").exists()
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["replicates"] == 4
@@ -629,7 +613,6 @@ def test_run_experiment_outputs(tmp_path):
     for j in range(4):
         assert (tmp_path / f"eigenvalues_{j}.csv").exists()
     assert (tmp_path / "hist.csv").exists()
-    assert len(report.samples) == 4
 
 
 @pytest.mark.parametrize("dist,alpha", [("gaussian", None), ("t", 1.0), ("pareto", 0.7)])
@@ -659,10 +642,6 @@ def test_sim_config_validation():
                      threads=None).threads is None
     with pytest.raises(ValueError, match="threads"):
         SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0, threads=0)
-    for hist in ((0, 0.0, 5.0), (10, 5.0, 5.0), (10, 0.0, float("inf")),
-                 (10, float("-inf"), 5.0), (10, float("nan"), 5.0)):
-        with pytest.raises(ValueError, match="hist"):
-            SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0, hist=hist)
 
 
 def test_gaussian_fourth_moment_decays():
