@@ -98,11 +98,11 @@ def contributing(i_text: str) -> None:
     from heavymp import delta_graphs
 
     i_path = _parse_path(i_text, "--i")
-    sets = delta_graphs.contributing_sets(i_path)
-    for s, level in enumerate(sets.levels, start=1):
+    levels = delta_graphs.contributing_sets(i_path)
+    for s, level in enumerate(levels, start=1):
         for t_path in level:
             print(f"{s}:{','.join(map(str, t_path))}")
-    print(f"# t_star={sets.t_star}")
+    print(f"# t_star={len(levels)}")
 
 
 def moments_cmd(alpha: float, gamma: float, kmax: int, fmt: str) -> None:
@@ -165,7 +165,7 @@ def simulate(
 
     from heavymp import simulation
 
-    hist = _parse_hist(hist_text) if hist_text else None
+    hist = None if hist_text is None else _parse_hist(hist_text)
     config = simulation.SimConfig(
         p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
         threads=threads, spectrum=hist is not None or save_eigenvalues,
@@ -182,7 +182,7 @@ def simulate(
         out.mkdir(parents=True, exist_ok=True)
         header = "replicate," + ",".join(f"m{k}" for k in range(1, k_max + 1))
         write("moments.csv", [header] + [
-            f"{s.replicate}," + ",".join(map(_fmt, s.moments)) for s in report.samples
+            f"{j}," + ",".join(map(_fmt, row)) for j, row in enumerate(report.moments)
         ])
         summary = {
             "p": p, "n": n, "dist": dist, "alpha": alpha, "k_max": k_max,
@@ -192,12 +192,11 @@ def simulate(
         }
         write("summary.json", [json.dumps(summary, indent=2)])
         if save_eigenvalues:
-            for s in report.samples:
-                write(f"eigenvalues_{s.replicate}.csv", map(_fmt, s.eigenvalues))
+            for j, spectrum in enumerate(report.spectra):
+                write(f"eigenvalues_{j}.csv", map(_fmt, spectrum))
         if hist is not None:
             bins, lo, hi = hist
-            pooled = np.concatenate([s.eigenvalues for s in report.samples])
-            densities, edges = np.histogram(pooled, bins=bins, range=(lo, hi), density=True)
+            densities, edges = np.histogram(report.spectra, bins=bins, range=(lo, hi), density=True)
             write("hist.csv", ["bin_lo,bin_hi,density"] + [
                 f"{_fmt(a)},{_fmt(b)},{_fmt(d)}" for a, b, d in zip(edges, edges[1:], densities)
             ])

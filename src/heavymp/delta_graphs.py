@@ -8,8 +8,9 @@ skeleton (parallel edges glued) is a tree contribute at leading order; the
 closed walk i_1 t_1 i_2 t_2 ... i_k t_k i_1 makes every such graph connected,
 so the tree test is an edge count.  The levels C_s(I) of contributing column
 paths with s distinct labels are generated as the closed walks that never
-close a cycle; tests/oracles.py keeps the filter over all canonical s-paths
-that checks them.
+close a cycle, and ``contributing_sets`` returns them as a plain tuple of
+levels, t* being its length; tests/oracles.py keeps the filter over all
+canonical s-paths that checks them.
 Summed over these pairs, a core I gives its limit polynomial P_I.  The
 moments do not sum cores: scripts/build_dtable.py sums the same tree walks
 over all row paths at once, by a recursion in formal power series, into the
@@ -18,8 +19,6 @@ combinatorics behind it.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, NamedTuple
 
 from heavymp.paths import Path, PathClass, classify, is_canonical
 
@@ -52,23 +51,6 @@ def is_tree_skeleton(degrees: dict[tuple[int, int], int]) -> bool:
     i_vertices = {i for i, _t in degrees}
     t_vertices = {t for _i, t in degrees}
     return len(degrees) == len(i_vertices) + len(t_vertices) - 1
-
-
-class ContributingSets(NamedTuple):
-    """Levels C_1(I), C_2(I), ... of contributing column paths, and t*."""
-
-    i_path: Path
-    levels: tuple[tuple[Path, ...], ...]  # levels[s-1] = sorted C_s(I)
-
-    @property
-    def t_star(self) -> int:
-        return len(self.levels)
-
-    def all_pairs(self) -> Iterator[tuple[int, Path]]:
-        """(s, T) over all non-empty levels."""
-        for s, level in enumerate(self.levels, start=1):
-            for t_path in level:
-                yield s, t_path
 
 
 def _tree_walks(i_path: Path) -> dict[int, list[Path]]:
@@ -113,9 +95,10 @@ def _tree_walks(i_path: Path) -> dict[int, list[Path]]:
     return found
 
 
-def contributing_sets(i_path: Path) -> ContributingSets:
-    """Build the non-empty levels C_s(I) for an irreducible canonical path:
-    the closed walks of ``_tree_walks``, grouped by label count."""
+def contributing_sets(i_path: Path) -> tuple[tuple[Path, ...], ...]:
+    """The levels C_1(I), ..., C_{t*}(I) of an irreducible canonical path I:
+    the closed walks of ``_tree_walks``, grouped by label count, so
+    levels[s - 1] is C_s(I) in lexicographic order and t* is len(levels)."""
     if not is_canonical(i_path):
         raise ValueError(f"path {i_path} is not canonical")
     if not i_path:
@@ -123,6 +106,6 @@ def contributing_sets(i_path: Path) -> ContributingSets:
     if classify(i_path) is not PathClass.IRREDUCIBLE:
         raise ValueError(f"path {i_path} is reducible; shorten it first")
     found = _tree_walks(i_path)
-    # no level below t* is empty, so levels[s - 1] is C_s(I)
+    # no level below t* is empty
     assert sorted(found) == list(range(1, len(found) + 1))
-    return ContributingSets(i_path, tuple(tuple(found[s]) for s in sorted(found)))
+    return tuple(tuple(found[s]) for s in sorted(found))

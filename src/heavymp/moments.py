@@ -123,9 +123,6 @@ class MomentTable(NamedTuple):
     """Moments mu_k = beta_k + d_k for k = 1..k_max, each of beta_k, d_k and
     mu_k computed exactly and rounded once."""
 
-    alpha: float
-    gamma: float
-    k_max: int
     beta: tuple[float, ...]
     d: tuple[float, ...]
     mu: tuple[float, ...]
@@ -146,7 +143,7 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     beta = tuple(b / den for b, _d, den in rows)
     d = tuple(d / den for _b, d, den in rows)
     mu = tuple((b + d) / den for b, d, den in rows)
-    return MomentTable(alpha, gamma, k_max, beta, d, mu)
+    return MomentTable(beta, d, mu)
 
 
 class ModifiedPoisson(NamedTuple):

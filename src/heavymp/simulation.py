@@ -5,7 +5,8 @@ row-self-normalized correlation matrix R = Y Y', computes its empirical
 moments (from the spectrum, or from traces of matrix powers when no spectrum
 is needed), and aggregates replicates reproducibly: replicate j draws from a
 stream spawned from the master seed, so results are independent of how
-replicates are scheduled.  The engine only computes: it writes no file, and
+replicates are scheduled, and row j of a run's moments and spectra matrices
+is replicate j.  The engine only computes: it writes no file, and
 ``heavymp simulate`` (``cli.simulate``) writes a run's outputs.
 
 Each stage has one implementation, the one ``run_replicate`` runs:
@@ -223,18 +224,20 @@ def _add_panel_product(gram: np.ndarray, panel: np.ndarray, beta: float) -> None
 
 
 def trace_moments(corr: np.ndarray, k_max: int) -> np.ndarray:
-    """m_k = tr(R^k) / p for k = 1..k_max, without the spectrum.
+    """m_k = tr(R^k) / p for k = 1..k_max < TRACE_K_CUT, without the spectrum.
 
     m_k = <R^(k-b), R^b> / p in the Frobenius inner product, with b the
-    largest formed power below k.  Below k_max = 7 the formed powers are
-    R^2 and R^4 = R^2 (R^2)', as far as needed, each a P P' that BLAS
+    largest formed power below k.  The formed powers are R^2, R^4 = R^2 (R^2)'
+    and R^3 = R^2 R, as far as needed: R^2 and R^4 are each a P P' that BLAS
     computes as a symmetric rank-k update at half the cost of a general
-    product, so m_5 = <R, R^4> and m_6 = <R^2, R^4>; from k_max = 7 on they
-    are R^2..R^ceil(k_max/2).
+    product, so m_5 = <R, R^4>, m_6 = <R^2, R^4>, m_7 = <R^3, R^4> and
+    m_8 = <R^4, R^4>.
     """
+    if not 1 <= k_max < TRACE_K_CUT:
+        raise ValueError(f"trace moments need 1 <= k_max < {TRACE_K_CUT}, got {k_max}")
     p = corr.shape[0]
     powers = {1: corr}
-    for j in (2, 4)[: (k_max - 1) // 2] if k_max < 7 else range(2, (k_max + 1) // 2 + 1):
+    for j in (2, 4, 3)[: (k_max - 1) // 2]:
         half = powers[j // 2]
         powers[j] = half @ half.T if j % 2 == 0 else powers[j - 1] @ corr
     moments = np.empty(k_max)
@@ -253,20 +256,6 @@ def empirical_moments(eigenvalues: np.ndarray, k_max: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectralSample:
-    """One simulated replicate: empirical moments and, when computed, the spectrum.
-
-    ``eigenvalues`` is the ascending spectrum when ``SimConfig.needs_spectrum``;
-    otherwise the moments come from ``trace_moments`` and ``eigenvalues`` is
-    None.
-    """
-
-    replicate: int
-    eigenvalues: np.ndarray | None
-    moments: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimConfig:
     p: int
     n: int
@@ -278,7 +267,7 @@ class SimConfig:
     # replicate threads; None is one per usable core (``_usable_cores``), at
     # most one per replicate, resolved when the run starts
     threads: int | None = None
-    # keep each replicate's spectrum in its SpectralSample
+    # keep each replicate's spectrum, as a row of ExperimentReport.spectra
     spectrum: bool = False
 
     def __post_init__(self) -> None:
@@ -305,16 +294,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config: SimConfig
-    samples: tuple[SpectralSample, ...]
+    """Row j of ``moments`` (replicates x k_max) and of ``spectra`` (replicates x p,
+    ascending; None unless ``SimConfig.needs_spectrum``) is replicate j."""
+
+    moments: np.ndarray
+    spectra: np.ndarray | None
     mean_moments: np.ndarray
     std_moments: np.ndarray
 
     def stderr_moments(self) -> np.ndarray:
-        return self.std_moments / np.sqrt(len(self.samples))
+        return self.std_moments / np.sqrt(len(self.moments))
 
 
-def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
+def run_replicate(config: SimConfig, replicate: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(moments, eigenvalues) of a replicate: the eigenvalues are its ascending
+    spectrum when ``config.needs_spectrum``, else None and the moments come from
+    ``trace_moments``."""
     panels = _panels(config.p, config.n, config.dist, config.alpha, config.seed, replicate)
     try:
         corr = _correlation(panels)
@@ -322,16 +317,13 @@ def run_replicate(config: SimConfig, replicate: int) -> SpectralSample:
         raise ArithmeticError(
             f"{config.dist} draws with alpha={config.alpha}, replicate {replicate}: {exc}"
         ) from exc
-    eigenvalues = None
-    if config.needs_spectrum:
-        try:
-            eigenvalues = np.linalg.eigvalsh(corr)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise ArithmeticError(f"eigensolver failed on replicate {replicate}: {exc}") from exc
-        moments = empirical_moments(eigenvalues, config.k_max)
-    else:
-        moments = trace_moments(corr, config.k_max)
-    return SpectralSample(replicate=replicate, eigenvalues=eigenvalues, moments=moments)
+    if not config.needs_spectrum:
+        return trace_moments(corr, config.k_max), None
+    try:
+        eigenvalues = np.linalg.eigvalsh(corr)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ArithmeticError(f"eigensolver failed on replicate {replicate}: {exc}") from exc
+    return empirical_moments(eigenvalues, config.k_max), eigenvalues
 
 
 def _bundled_blas(name: str, argtypes: list, restype):
@@ -406,8 +398,10 @@ def run_experiment(config: SimConfig) -> ExperimentReport:
     """
     threads = config.threads or min(_usable_cores(), config.replicates)
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        samples = tuple(pool.map(lambda j: run_replicate(config, j), range(config.replicates)))
-    moments = np.vstack([s.moments for s in samples])
+        results = pool.map(lambda j: run_replicate(config, j), range(config.replicates))
+        moments, spectra = zip(*results)
+    moments = np.vstack(moments)
+    spectra = np.vstack(spectra) if config.needs_spectrum else None
     mean = moments.mean(axis=0)
-    std = moments.std(axis=0, ddof=1) if len(samples) > 1 else np.zeros_like(mean)
-    return ExperimentReport(config, samples, mean, std)
+    std = moments.std(axis=0, ddof=1) if len(moments) > 1 else np.zeros_like(mean)
+    return ExperimentReport(moments, spectra, mean, std)

@@ -220,9 +220,10 @@ def core_polynomial(i_path: Path) -> tuple[Fraction, ...]:
     p^(r-1) F(I) tends to gamma^(r-1) P_I(a), the pair weights summed over
     the contributing column paths of I."""
     total = [Fraction(0)] * len(i_path)
-    for _s, t_path in contributing_sets(i_path).all_pairs():
-        for i, c in enumerate(tree_pair_polynomial(i_path, t_path)):
-            total[i] += c
+    for level in contributing_sets(i_path):
+        for t_path in level:
+            for i, c in enumerate(tree_pair_polynomial(i_path, t_path)):
+                total[i] += c
     return tuple(total)
 
 

@@ -75,11 +75,11 @@ def test_criterion_3_worked_combinatorial_examples():
     ok = (ps1.shortened, ps1.runs, ps1.simples) == ((), 2, 2)
     ok = ok and (ps2.shortened, ps2.runs, ps2.simples) == ((1, 2, 1, 2), 1, 1)
 
-    sets9 = delta_graphs.contributing_sets((1, 2, 1, 2, 3, 4, 3, 4, 3))
-    ok = ok and sets9.levels[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1),)
+    levels9 = delta_graphs.contributing_sets((1, 2, 1, 2, 3, 4, 3, 4, 3))
+    ok = ok and levels9[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1),)
 
     level2_empty_k7 = all(
-        delta_graphs.contributing_sets(i_path).t_star == 1
+        len(delta_graphs.contributing_sets(i_path)) == 1
         for k in range(4, 8)
         for r in range(2, k // 2 + 1)
         for i_path in paths.enumerate_class(k, r, paths.PathClass.IRREDUCIBLE)
@@ -112,7 +112,7 @@ def test_criterion_3_worked_combinatorial_examples():
 )
 def test_criterion_3_level_two_empty_up_to_length_8():
     empty = all(
-        delta_graphs.contributing_sets(i_path).t_star == 1
+        len(delta_graphs.contributing_sets(i_path)) == 1
         for k in range(4, 9)
         for r in range(2, k // 2 + 1)
         for i_path in paths.enumerate_class(k, r, paths.PathClass.IRREDUCIBLE)
@@ -224,10 +224,11 @@ def test_criterion_7_property_suites():
     config = simulation.SimConfig(
         p=100, n=500, dist="t", alpha=1.0, k_max=4, replicates=10, seed=77, spectrum=True,
     )
-    for sample in simulation.run_experiment(config).samples:
-        ok = ok and abs(sample.moments[0] - 1.0) < 1e-8
-        ok = ok and abs(sample.eigenvalues.sum() - config.p) < 1e-6 * config.p
-        ok = ok and sample.eigenvalues.min() >= -1e-8 * np.abs(sample.eigenvalues).max()
+    report = simulation.run_experiment(config)
+    for row, eigenvalues in zip(report.moments, report.spectra, strict=True):
+        ok = ok and abs(row[0] - 1.0) < 1e-8
+        ok = ok and abs(eigenvalues.sum() - config.p) < 1e-6 * config.p
+        ok = ok and eigenvalues.min() >= -1e-8 * np.abs(eigenvalues).max()
 
     for alpha in (0.5, 1.0, 1.5):
         est = oracles.self_normalized_fourth_moment(

@@ -65,8 +65,7 @@ def test_delta_output():
 def test_contributing_output():
     result = run("contributing", "--i", "1,2,1,2,3,4,3,4,3")
     assert result.exit_code == 0
-    assert "2:1,1,1,1,2,2,2,2,1" in result.output
-    assert "# t_star=2" in result.output
+    assert result.output == "1:1,1,1,1,1,1,1,1,1\n2:1,1,1,1,2,2,2,2,1\n# t_star=2\n"
 
 
 def test_moments_csv_and_json_agree():
@@ -152,20 +151,20 @@ def test_simulate_files_are_the_engine_report_bit_for_bit(tmp_path):
 
     lines = (tmp_path / "moments.csv").read_text().splitlines()
     assert lines[0] == "replicate,m1,m2,m3,m4"
-    for line, sample in zip(lines[1:], report.samples, strict=True):
+    for j, (line, row) in enumerate(zip(lines[1:], report.moments, strict=True)):
         replicate, *values = line.split(",")
-        assert int(replicate) == sample.replicate
-        assert np.array_equal(np.array(values, dtype=float), sample.moments)
+        assert int(replicate) == j
+        assert np.array_equal(np.array(values, dtype=float), row)
     assert json.loads((tmp_path / "summary.json").read_text()) == {
         "p": 12, "n": 40, "dist": "pareto", "alpha": 0.7, "k_max": 4, "replicates": 3,
         "seed": 6, "mean_moments": list(report.mean_moments),
         "std_moments": list(report.std_moments),
     }
-    for sample in report.samples:
-        text = (tmp_path / f"eigenvalues_{sample.replicate}.csv").read_text()
-        assert np.array_equal(np.array(text.splitlines(), dtype=float), sample.eigenvalues)
+    for j, spectrum in enumerate(report.spectra):
+        text = (tmp_path / f"eigenvalues_{j}.csv").read_text()
+        assert np.array_equal(np.array(text.splitlines(), dtype=float), spectrum)
 
-    pooled = np.concatenate([sample.eigenvalues for sample in report.samples])
+    pooled = np.concatenate(list(report.spectra))
     densities, edges = np.histogram(pooled, bins=15, range=(0.0, 6.0), density=True)
     lines = (tmp_path / "hist.csv").read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,density"
@@ -439,6 +438,9 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
           "--replicates", "6", "--seed", "3", "--z-threshold", "nan"],
          "--z-threshold must be >= 0, got nan"),
         (["compare", "--alpha", "1", "--z-threshold", "-1"], "--z-threshold must be >= 0, got -1.0"),
+        # an empty --hist is a malformed histogram, not a missing one
+        (["simulate", "--dist", "gaussian", "--p", "5", "--n", "20", "--k", "2", "--replicates", "2",
+          "--hist", ""], "--hist must be BINS:LO:HI, got ''"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(

@@ -70,7 +70,7 @@ def test_walk_matches_brute_force_up_to_length_8():
     for k in range(4, 9):
         for r in range(2, k // 2 + 1):
             for i_path in enumerate_class(k, r, PathClass.IRREDUCIBLE):
-                assert contributing_sets(i_path).levels == brute_contributing_levels(i_path)
+                assert contributing_sets(i_path) == brute_contributing_levels(i_path)
                 checked += 1
     assert checked == 86
 
@@ -85,27 +85,29 @@ def test_walk_matches_brute_force_at_lengths_9_and_10(k, n_cores):
     cores = list(singleton_free_paths(k, run_free=True))
     assert len(cores) == n_cores
     for i_path in cores:
-        assert contributing_sets(i_path).levels == brute_contributing_levels(i_path)
+        assert contributing_sets(i_path) == brute_contributing_levels(i_path)
 
 
 def _census_classes():
+    """(core, levels) for every irreducible census class of length 4 to 10."""
     cores = [core for m in range(4, 11) for core, _size in irreducible_classes(m)]
-    return [contributing_sets(core) for core in sorted(cores)]
+    return [(core, contributing_sets(core)) for core in sorted(cores)]
 
 
 def test_walk_yields_only_contributing_pairs():
-    for sets in _census_classes():
-        for s, t_path in sets.all_pairs():
-            assert max(t_path) == s
-            graph = build_delta(sets.i_path, t_path)
-            assert is_even(graph) and is_tree_skeleton(graph)
+    for core, levels in _census_classes():
+        for s, level in enumerate(levels, start=1):
+            for t_path in level:
+                assert max(t_path) == s
+                graph = build_delta(core, t_path)
+                assert is_even(graph) and is_tree_skeleton(graph)
 
 
 def test_walk_pair_count_over_census_classes():
     classes = _census_classes()
     assert len(classes) == 170
-    assert sum(1 for sets in classes for _pair in sets.all_pairs()) == 185
-    assert max(sets.t_star for sets in classes) == 3
+    assert sum(len(level) for _core, levels in classes for level in levels) == 185
+    assert max(len(levels) for _core, levels in classes) == 3
 
 
 def tree_by_search(graph):
@@ -145,25 +147,23 @@ def test_tree_test_matches_search():
 
 
 def test_contributing_sets_1212():
-    sets = contributing_sets((1, 2, 1, 2))
-    assert sets.levels == (((1, 1, 1, 1),),)
-    assert sets.t_star == 1
+    assert contributing_sets((1, 2, 1, 2)) == (((1, 1, 1, 1),),)
 
 
 def test_contributing_sets_level_two_example():
-    sets = contributing_sets((1, 2, 1, 2, 3, 4, 3, 4, 3))
-    assert sets.levels[0] == ((1, 1, 1, 1, 1, 1, 1, 1, 1),)
-    assert sets.levels[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1),)
-    assert sets.t_star == 2
+    assert contributing_sets((1, 2, 1, 2, 3, 4, 3, 4, 3)) == (
+        ((1, 1, 1, 1, 1, 1, 1, 1, 1),),
+        ((1, 1, 1, 1, 2, 2, 2, 2, 1),),
+    )
 
 
 def test_enumeration_cap_binds_brute_mode_only():
     # the tree walk lists no canonical paths, so the enumeration cap K_MAX
     # does not bind it
     core = (1, 2, 1, 2, 3, 4, 3, 4, 3, 5, 6, 5, 6)  # 13 letters, beyond K_MAX
-    sets = contributing_sets(core)
-    assert sets.levels[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1),)
-    assert sets.t_star == 2
+    levels = contributing_sets(core)
+    assert levels[1] == ((1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1),)
+    assert len(levels) == 2
 
 
 def test_contributing_sets_rejects_reducible():
@@ -180,7 +180,7 @@ def test_level_two_empty_for_short_irreducible_paths():
     for k in range(4, 8):
         for r in range(2, k // 2 + 1):
             for i_path in enumerate_class(k, r, PathClass.IRREDUCIBLE):
-                assert contributing_sets(i_path).t_star == 1
+                assert len(contributing_sets(i_path)) == 1
 
 
 def test_level_two_nonempty_cases_at_k8():
@@ -198,9 +198,9 @@ def test_level_two_nonempty_cases_at_k8():
     found = {}
     for r in range(2, 5):
         for i_path in enumerate_class(8, r, PathClass.IRREDUCIBLE):
-            sets = contributing_sets(i_path)
-            if sets.t_star == 2:
-                (member,) = sets.levels[1]
+            levels = contributing_sets(i_path)
+            if len(levels) == 2:
+                (member,) = levels[1]
                 found[i_path] = member
     assert found == expected
 
@@ -216,7 +216,7 @@ def test_refinement_mode_matches_brute_force():
         (1, 2, 1, 3, 4, 3, 4, 3, 1, 2),
     ]
     for i_path in targets:
-        assert contributing_sets(i_path).levels == brute_contributing_levels(i_path)
+        assert contributing_sets(i_path) == brute_contributing_levels(i_path)
 
 
 def test_monotone_emptiness_brute_force():
@@ -238,10 +238,10 @@ def test_monotone_emptiness_brute_force():
 def test_tree_degree_sum_identity():
     # tree skeleton implies sum of I-vertex degrees = r + s - 1
     for i_path in [(1, 2, 1, 2), (1, 2, 1, 2, 3, 4, 3, 4, 3)]:
-        sets = contributing_sets(i_path)
         r = max(i_path)
-        for s, t_path in sets.all_pairs():
-            graph = build_delta(i_path, t_path)
-            t_neighbours = Counter(i for i, _t in graph)
-            assert sum(t_neighbours[i] for i in range(1, r + 1)) == r + s - 1
-            assert len(graph) == r + s - 1
+        for s, level in enumerate(contributing_sets(i_path), start=1):
+            for t_path in level:
+                graph = build_delta(i_path, t_path)
+                t_neighbours = Counter(i for i, _t in graph)
+                assert sum(t_neighbours[i] for i in range(1, r + 1)) == r + s - 1
+                assert len(graph) == r + s - 1

@@ -133,7 +133,7 @@ def test_limit_pF_matches_gamma_function_oracle():
     # T-neighbours, so (deg_i - 1)! = 1; here one pair has a vertex with three,
     # and its levels come from the walk, as the brute filter would take too long
     core = (1, 2, 1, 2, 1, 3, 1, 3, 1, 4, 1, 4)
-    levels = contributing_sets(core).levels
+    levels = contributing_sets(core)
     for alpha, gamma in FOLD_POINTS:
         assert limit_pF(core, alpha, gamma) == pytest.approx(
             brute_limit_pF(core, alpha, gamma, levels), rel=1e-12

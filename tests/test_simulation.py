@@ -34,9 +34,7 @@ def assert_same_moments(report, expected):
     moments.csv and summary.json print these in 17 digits, which round-trip a
     float64, so equal arrays are equal files.
     """
-    assert [s.replicate for s in report.samples] == [s.replicate for s in expected.samples]
-    for sample, other in zip(report.samples, expected.samples):
-        assert np.array_equal(sample.moments, other.moments)
+    assert np.array_equal(report.moments, expected.moments)
     assert np.array_equal(report.mean_moments, expected.mean_moments)
     assert np.array_equal(report.std_moments, expected.std_moments)
 
@@ -256,7 +254,8 @@ def test_streamed_replicate_matches_the_sample_matrix_oracle(dist, alpha):
     for k_max in (TRACE_K_CUT - 1, TRACE_K_CUT):
         config = SimConfig(p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=1, seed=4)
         expected = empirical_moments(np.linalg.eigvalsh(oracle), k_max)
-        assert np.allclose(run_replicate(config, 2).moments, expected, rtol=1e-12, atol=0)
+        moments, _eigenvalues = run_replicate(config, 2)
+        assert np.allclose(moments, expected, rtol=1e-12, atol=0)
 
 
 def test_reference_correlation_is_the_matrix_of_row_cosines():
@@ -276,21 +275,24 @@ def test_reference_correlation_is_the_matrix_of_row_cosines():
 def test_trace_moments_match_spectrum(p, n):
     corr = _correlation(simulation._panels(p, n, "t", 1.0, 8, 0))
     spectrum = np.linalg.eigvalsh(corr)
-    for k_max in range(1, 13):
+    for k_max in range(1, TRACE_K_CUT):
         expected = empirical_moments(spectrum, k_max)
         assert np.allclose(trace_moments(corr, k_max), expected, rtol=1e-12, atol=0)
+    # from the cut on the engine takes the moments from the spectrum
+    with pytest.raises(ValueError, match=f"1 <= k_max < {TRACE_K_CUT}, got {TRACE_K_CUT}"):
+        trace_moments(corr, TRACE_K_CUT)
 
 
 def test_eigenvalues_kept_exactly_when_needed():
     base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=3)
     spectrum = np.linalg.eigvalsh(_correlation(simulation._panels(20, 60, "t", 1.0, 3, 0)))
-    trace_only = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
-    assert trace_only.eigenvalues is None
+    trace_moments_only, no_spectrum = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
+    assert no_spectrum is None
     for extra in (dict(k_max=4, spectrum=True), dict(k_max=TRACE_K_CUT)):
-        sample = run_replicate(SimConfig(**base, **extra), 0)
-        assert np.array_equal(sample.eigenvalues, spectrum)
-        shared = min(sample.moments.size, trace_only.moments.size)
-        assert np.allclose(sample.moments[:shared], trace_only.moments[:shared], rtol=1e-12, atol=0)
+        moments, eigenvalues = run_replicate(SimConfig(**base, **extra), 0)
+        assert np.array_equal(eigenvalues, spectrum)
+        shared = min(moments.size, trace_moments_only.size)
+        assert np.allclose(moments[:shared], trace_moments_only[:shared], rtol=1e-12, atol=0)
 
 
 def test_correlation_matrix_unit_diagonal():
@@ -385,11 +387,11 @@ def test_correlation_without_dsyrk_falls_back_to_numpys_product(monkeypatch):
     # three panels: the sums round differently, within 1e-12
     p, three_panels = 20, 2 * simulation._PANEL_COLUMNS + 3
     base = dict(p=p, dist="t", alpha=1.0, k_max=4, replicates=2, seed=15)
-    with_dsyrk = run_replicate(SimConfig(**base, n=three_panels), 1).moments
+    with_dsyrk, _ = run_replicate(SimConfig(**base, n=three_panels), 1)
     one_panel = run_experiment(SimConfig(**base, n=300))
     monkeypatch.setattr(simulation, "_blas_dsyrk", lambda: None)
     assert_same_moments(run_experiment(SimConfig(**base, n=300)), one_panel)
-    fallback = run_replicate(SimConfig(**base, n=three_panels), 1).moments
+    fallback, _ = run_replicate(SimConfig(**base, n=three_panels), 1)
     assert np.allclose(fallback, with_dsyrk, rtol=1e-12, atol=0)
     corr = _correlation(simulation._panels(p, three_panels, "t", 1.0, 15, 1))
     assert np.array_equal(corr, corr.T)
@@ -424,10 +426,10 @@ def test_replicate_invariants():
     config = SimConfig(
         p=40, n=200, dist="t", alpha=1.0, k_max=4, replicates=1, seed=5, spectrum=True
     )
-    sample = run_replicate(config, 0)
-    assert abs(sample.eigenvalues.sum() - config.p) <= 1e-6 * config.p
-    assert sample.moments[0] == pytest.approx(1.0, abs=1e-8)
-    assert sample.eigenvalues.min() >= -1e-8 * np.abs(sample.eigenvalues).max()
+    moments, eigenvalues = run_replicate(config, 0)
+    assert abs(eigenvalues.sum() - config.p) <= 1e-6 * config.p
+    assert moments[0] == pytest.approx(1.0, abs=1e-8)
+    assert eigenvalues.min() >= -1e-8 * np.abs(eigenvalues).max()
 
 
 def test_p_larger_than_n_gives_zero_mass():
@@ -435,8 +437,8 @@ def test_p_larger_than_n_gives_zero_mass():
     config = SimConfig(
         p=30, n=10, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=9, spectrum=True
     )
-    sample = run_replicate(config, 0)
-    assert np.sum(np.abs(sample.eigenvalues) < 1e-10) >= config.p - config.n
+    _moments, eigenvalues = run_replicate(config, 0)
+    assert np.sum(np.abs(eigenvalues) < 1e-10) >= config.p - config.n
 
 
 def test_run_experiment_deterministic_across_threads():
@@ -445,6 +447,20 @@ def test_run_experiment_deterministic_across_threads():
         base = dict(p=20, n=n, dist="t", alpha=1.0, k_max=3, replicates=6, seed=123)
         r1 = run_experiment(SimConfig(**base, threads=1))
         assert_same_moments(run_experiment(SimConfig(**base, threads=3)), r1)
+
+
+def test_report_row_j_is_replicate_j():
+    # on 3 threads replicates may finish out of order; the report stacks them in
+    # replicate order, bit for bit as run_replicate gives them
+    base = dict(p=20, n=60, dist="pareto", alpha=0.7, k_max=4, replicates=5, seed=11)
+    config = SimConfig(**base, threads=3, spectrum=True)
+    report = run_experiment(config)
+    assert report.moments.shape == (5, 4) and report.spectra.shape == (5, 20)
+    for j in range(5):
+        moments, eigenvalues = run_replicate(config, j)
+        assert np.array_equal(report.moments[j], moments)
+        assert np.array_equal(report.spectra[j], eigenvalues)
+    assert run_experiment(SimConfig(**base, threads=3)).spectra is None
 
 
 @pytest.mark.parametrize("replicates, expected", [(5, 3), (2, 2)])
@@ -582,7 +598,7 @@ def test_spectrum_run_independent_of_the_blas_thread_count():
         finally:
             setter(previous)
     assert_same_moments(*reports)
-    assert np.array_equal(reports[0].samples[0].eigenvalues, reports[1].samples[0].eigenvalues)
+    assert np.array_equal(reports[0].spectra, reports[1].spectra)
 
 
 def test_run_without_blas_setter_matches_pinned_run(monkeypatch):
@@ -599,7 +615,7 @@ def test_run_without_blas_setter_matches_pinned_run(monkeypatch):
         setter(previous)
     assert_same_moments(unpinned, pinned)
     spectrum = run_experiment(SimConfig(**{**base, "k_max": TRACE_K_CUT, "replicates": 1}))
-    assert spectrum.samples[0].eigenvalues.size == base["p"]
+    assert spectrum.spectra.shape == (1, base["p"])
 
 
 def test_run_experiment_outputs(tmp_path):
