@@ -5,14 +5,15 @@ Two engines working in tandem:
 * an exact engine that evaluates the limiting spectral moments of sample
   correlation matrices built from infinite-variance data, mu_k = beta_k + d_k,
   from a committed table of the gaps d_k, polynomials in alpha/2 and gamma
-  that scripts/build_dtable.py builds from a recursion over closed walks on
-  trees;
+  that scripts/build_dtable.py builds from the fixed point for the moment
+  series in ``heavymp.series``, and past the table's top from that fixed
+  point at the point itself;
 * a Monte Carlo engine that simulates such matrices, computes their spectra
   and checks the empirical moments against the exact values.
 
 The public names load their modules on first use, so ``import heavymp`` runs
 no module of the package, and the table builder can import
-``heavymp.combinatorics`` without a loadable d_k table.
+``heavymp.combinatorics`` and ``heavymp.series`` without a loadable d_k table.
 """
 
 import importlib

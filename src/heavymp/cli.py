@@ -303,7 +303,8 @@ def _build_parser() -> _Parser:
 
     k_cap, moment_cap = combinatorics.K_MAX, moments.MOMENT_K_MAX
     add = command("counts", counts)
-    add("--kmax", type=_int_range(1, k_cap), default=8, help=f"largest k, 1 to {k_cap}" + _DEFAULT)
+    add("--kmax", type=_int_range(1, moment_cap), default=8,
+        help=f"largest k, 1 to {moment_cap}" + _DEFAULT)
 
     add = command("paths", paths_cmd)
     add("--k", type=_int_range(1, k_cap), required=True, help=f"path length, 1 to {k_cap}")
@@ -327,7 +328,8 @@ def _build_parser() -> _Parser:
 
     add = command("boundary", boundary)
     add("--gamma", type=float, required=True, help="ratio p/n, finite and positive")
-    add("--kmax", type=_int_range(1, k_cap), default=6, help=f"largest order, 1 to {k_cap}" + _DEFAULT)
+    add("--kmax", type=_int_range(1, moment_cap), default=6,
+        help=f"largest order, 1 to {moment_cap}" + _DEFAULT)
 
     add = command("simulate", simulate)
     add("--p", type=int, required=True, help="rows")
@@ -347,7 +349,7 @@ def _build_parser() -> _Parser:
     add("--gamma", type=float, default=None, help="Defaults to p/n")
     add("--kmax", type=_int_range(1, moment_cap), default=5,
         help=f"largest k, 1 to {moment_cap}" + _DEFAULT)
-    add("--p", type=int, default=500, help="rows" + _DEFAULT)
+    add("--p", type=_int_range(1), default=500, help="rows, at least 1" + _DEFAULT)
     add("--n", type=_int_range(1), default=2500, help="columns, at least 1" + _DEFAULT)
     add("--dist", choices=DISTRIBUTIONS, default="t", help="entry distribution" + _DEFAULT)
     add("--replicates", type=_int_range(2), default=50, help="replicates, at least 2" + _DEFAULT)

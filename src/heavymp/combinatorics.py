@@ -13,12 +13,10 @@ from __future__ import annotations
 from math import comb, factorial
 
 #: Cap on the ground-set size for full enumerations (``heavymp paths --k``,
-#: the tests' brute-force contributing sets), which list up to Bell(k) paths,
-#: and for ``heavymp counts``; ``paths.enumerate_canonical_paths`` refuses a
-#: larger k.
-#: Moments do not enumerate: they read the gaps d_1..d_18 from a committed
-#: table (``moments.MOMENT_K_MAX``), which scripts/build_dtable.py builds from
-#: a recursion in formal power series without walking a path.
+#: the tests' brute-force contributing sets), which list up to Bell(k) paths;
+#: ``paths.enumerate_canonical_paths`` refuses a larger k.  The counts here
+#: enumerate nothing, and neither do moments, so ``heavymp counts`` and the
+#: moment commands share the cap ``moments.MOMENT_K_MAX``.
 K_MAX = 12
 
 

@@ -12,10 +12,10 @@ close a cycle, and ``contributing_sets`` returns them as a plain tuple of
 levels, t* being its length; tests/oracles.py keeps the filter over all
 canonical s-paths that checks them.
 Summed over these pairs, a core I gives its limit polynomial P_I.  The
-moments do not sum cores: scripts/build_dtable.py sums the same tree walks
-over all row paths at once, by a recursion in formal power series, into the
-committed table of the gaps d_k, and this module shows the paper's
-combinatorics behind it.
+moments do not sum cores: ``heavymp.series`` sums the same tree walks over
+all row paths at once, by a fixed point in formal power series, which
+scripts/build_dtable.py runs into the committed table of the gaps d_k, and
+this module shows the paper's combinatorics behind it.
 """
 
 from __future__ import annotations

@@ -3,13 +3,14 @@
 The classical moments ``mp_moment`` are evaluated in rational arithmetic.
 The heavy-tailed moments ``heavy_mp_moment`` are mu_k = beta_k + d_k: the
 Marchenko-Pastur moment beta_k plus a gap d_k that is a polynomial in
-alpha/2 and gamma with rational coefficients.  scripts/build_dtable.py
-builds d_1..d_18 once, from a fixed-point recursion for the moment series
-over closed walks on trees, and writes their exact coefficients to
-``heavymp._dtable``, which moments read: no moment walks a path.  At a point
-(alpha, gamma), beta_k and d_k become integer numerators over one
+alpha/2 and gamma with rational coefficients.  scripts/build_dtable.py runs
+the fixed point of ``heavymp.series`` once over such polynomials and writes
+d_1..d_18 to ``heavymp._dtable``: no moment walks a path.  Up to 18, at a
+point (alpha, gamma), beta_k and d_k become integer numerators over one
 denominator per k (``_moment_numerators``), each rounded once by an integer
-division: a cold k = 14 table takes under 2 ms.
+division: a cold k = 14 table takes under 2 ms.  Past 18, ``moment_table``
+runs the same fixed point at the point in exact rationals and rounds each
+of beta_k, d_k and mu_k once: k = 40 takes about 1 s.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from heavymp.combinatorics import count_c0, stirling2
 # str or Fraction for decimal-exact gammas
 RationalLike = int | Fraction | str
 
-#: Largest moment order: the top order of the committed d_k table.
-MOMENT_K_MAX = max(_dtable.D)
+#: Largest moment order; past the d_k table's top (18), moment_table runs the series.
+MOMENT_K_MAX = 40
 
 
 def _check_alpha(alpha: float) -> None:
@@ -135,10 +136,14 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
     if k_max > MOMENT_K_MAX:
-        raise RuntimeError(
-            f"moment order k={k_max} exceeds {MOMENT_K_MAX}, the top order of the committed "
-            f"d_k table; scripts/build_dtable.py --max-length builds a longer one"
-        )
+        raise RuntimeError(f"moment order k={k_max} exceeds {MOMENT_K_MAX}, the largest order evaluated")
+    if k_max > max(_dtable.D):
+        from heavymp import series
+
+        mu = series.moment_series(Fraction(alpha) / 2, Fraction(gamma), k_max)[1:]
+        beta = [mp_moment_exact(gamma, k) for k in range(1, k_max + 1)]
+        d = [m - b for m, b in zip(mu, beta)]
+        return MomentTable(*(tuple(map(float, column)) for column in (beta, d, mu)))
     rows = _moment_numerators(Fraction(alpha), Fraction(gamma), k_max)
     beta = tuple(b / den for b, _d, den in rows)
     d = tuple(d / den for _b, d, den in rows)

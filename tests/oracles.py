@@ -1,8 +1,8 @@
 """Reference implementations that only the tests use.
 
 The exact engine reads the table of moment gaps d_k, which
-scripts/build_dtable.py builds from a recursion over closed walks on trees,
-so set partitions, the path/partition bijection, the paper's simple-removal
+scripts/build_dtable.py builds from ``heavymp.series``, a fixed point over
+closed walks on trees, so set partitions, the path/partition bijection, the paper's simple-removal
 sets, the dihedral representative, the per-core limit and the paper's path
 walk (singleton-free paths, irreducible classes, the polynomials Q_l summed
 over them and d_k reassembled from Q_4..Q_k) serve here as independent

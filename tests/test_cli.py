@@ -102,15 +102,18 @@ def test_counts_output_matches_the_golden_bytes():
     assert result.stdout_bytes == (GOLDEN / "counts_k12.csv").read_bytes()
 
 
-def test_moment_cap_is_the_table_top_and_enumerators_stay_capped():
+def test_closed_forms_share_the_moment_cap_and_the_enumerator_stays_capped(capsys):
     payload = json.loads(run("moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14",
                              "--format", "json").output)
     assert payload["mu"][13] == 12138.448302765602
-    top = str(moments.MOMENT_K_MAX)
-    assert main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", top]) == 0
-    assert main(["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", str(moments.MOMENT_K_MAX + 1)]) == 1
+    top, over = str(moments.MOMENT_K_MAX), str(moments.MOMENT_K_MAX + 1)
+    assert top == "40"
+    for command in (["moments", "--alpha", "1", "--gamma", "0.2"], ["counts"], ["boundary", "--gamma", "1"]):
+        assert main(command + ["--kmax", top]) == 0
+        assert main(command + ["--kmax", over]) == 1
+    assert main(["counts", "--kmax", "13"]) == 0
     assert main(["paths", "--k", "13", "--r", "2"]) == 1
-    assert main(["counts", "--kmax", "13"]) == 1
+    capsys.readouterr()
 
 
 def test_boundary_output():
@@ -297,6 +300,7 @@ from heavymp import cli
 assert "numpy" not in sys.modules and "heavymp.simulation" not in sys.modules
 for args in (
     ["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "14", "--format", "json"],
+    ["moments", "--alpha", "1", "--gamma", "0.2", "--kmax", "20"],
     ["counts", "--kmax", "6"],
     ["paths", "--k", "5", "--r", "2"],
     ["delta", "--i", "1,2,1,2", "--t", "1,1,1,1"],
@@ -326,7 +330,7 @@ _COLD_START_RUN = """
 import contextlib, io, sys
 
 unused = {"click", "dataclasses", "inspect", "heavymp.delta_graphs", "heavymp.paths", "numpy",
-          "heavymp.simulation"}
+          "heavymp.series", "heavymp.simulation"}
 before = set(sys.modules)
 from heavymp import cli
 
@@ -415,7 +419,7 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
     [
         (["compare", "--alpha", "1", "--gamma", "inf"], "gamma must be finite and positive"),
         (["compare", "--alpha", "1", "--gamma", "nan"], "gamma must be finite and positive"),
-        (["compare", "--alpha", "1", "--p", "0"], "gamma must be finite and positive"),
+        (["compare", "--alpha", "1", "--gamma", "0"], "gamma must be finite and positive"),
         (["compare", "--alpha", "3", "--dist", "gaussian"], "alpha must lie in the open interval"),
         (["compare", "--alpha", "1", "--n", "0"], "--n"),
         (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
@@ -441,6 +445,9 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
         # an empty --hist is a malformed histogram, not a missing one
         (["simulate", "--dist", "gaussian", "--p", "5", "--n", "20", "--k", "2", "--replicates", "2",
           "--hist", ""], "--hist must be BINS:LO:HI, got ''"),
+        # rows are checked as rows, not as the gamma = p/n they would give
+        (["compare", "--alpha", "1", "--p", "0"], "argument --p: 0 is not in the range x>=1"),
+        (["compare", "--alpha", "1", "--p", "-5"], "argument --p: -5 is not in the range x>=1"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(

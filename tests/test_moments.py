@@ -16,7 +16,7 @@ import pytest
 
 import heavymp
 import oracles
-from heavymp import _dtable
+from heavymp import _dtable, series
 from heavymp.combinatorics import stirling2
 from heavymp.delta_graphs import _tree_walks, build_delta, contributing_sets
 from heavymp.moments import (
@@ -188,6 +188,8 @@ def test_heavy_moment_matches_unfolded_sum():
 
 
 BUILD_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_dtable.py"
+# the committed table's top order; moment_table evaluates the series past it
+TABLE_TOP = max(_dtable.D)
 
 
 @lru_cache(maxsize=None)
@@ -209,8 +211,8 @@ def build():
 
 @pytest.fixture(scope="module")
 def built(build):
-    """The build script's mu_0..mu_11 and d_1..d_11."""
-    return build.moment_polynomials(11), build.gap_polynomials(11)
+    """mu_0..mu_11 from the moment series over the build script's polynomials, and its d_1..d_11."""
+    return series.moment_series(build.A, build.GAMMA, 11), build.gap_polynomials(11)
 
 
 def test_path_walk_visits_each_irreducible_path_once(monkeypatch):
@@ -242,14 +244,14 @@ def test_moment_table_walks_no_path(monkeypatch):
         monkeypatch.setattr(module, name, no_walk)
     moments._integer_polynomial.cache_clear()
     try:
-        table = moment_table(1.0, 0.2, MOMENT_K_MAX)
+        table = moment_table(1.0, 0.2, TABLE_TOP)
     finally:
         moments._integer_polynomial.cache_clear()
-    assert table.mu[-1] == heavy_mp_moment(1.0, 0.2, MOMENT_K_MAX)
+    assert table.mu[-1] == heavy_mp_moment(1.0, 0.2, TABLE_TOP)
 
 
 def test_table_matches_a_rebuild(built):
-    assert MOMENT_K_MAX == max(_dtable.D) == 18
+    assert TABLE_TOP == 18 and MOMENT_K_MAX == 40
     assert sorted(_dtable.D) == list(range(1, 19))
     _mu, table = built
     assert sorted(table) == list(range(1, 12))
@@ -335,7 +337,7 @@ def a_polynomial(k, j):
 
 def test_every_gap_is_divisible_by_one_minus_a_squared():
     # (1 - a)^2 divides a polynomial in a exactly when it and its derivative vanish at a = 1
-    for k in range(1, MOMENT_K_MAX + 1):
+    for k in range(1, TABLE_TOP + 1):
         assert bool(table_gap(k)) == (k >= 4)
         for j in {jj for _i, jj in table_gap(k)}:
             poly = a_polynomial(k, j)
@@ -346,7 +348,7 @@ def test_every_gap_is_divisible_by_one_minus_a_squared():
 def test_gamma_one_coefficient_of_the_gap():
     # only the r = 2 cores 1,2,1,2,... of even length l reach gamma^1, each with
     # (prod_{j=1}^{l/2-1} (j - a) / (l/2-1)!)^2, and C(k, l) times in d_k
-    for k in range(1, MOMENT_K_MAX + 1):
+    for k in range(1, TABLE_TOP + 1):
         expected = []
         for length in range(4, k + 1, 2):
             m = length // 2
@@ -402,18 +404,28 @@ def test_gap_closed_forms_exact():
 
 
 def test_gap_vanishes_at_alpha_two():
+    # the table to its top, and the moment series at a = 1 to the cap
     for gamma in IDENTITY_GAMMAS:
-        for k in range(1, MOMENT_K_MAX + 1):
+        for k in range(1, TABLE_TOP + 1):
             assert _heavy_tail_gap_exact(Fraction(2), gamma, k) == 0
+    gamma = Fraction(7, 2)
+    mu = series.moment_series(Fraction(1), gamma, MOMENT_K_MAX)
+    assert mu == [1] + [mp_moment_exact(gamma, k) for k in range(1, MOMENT_K_MAX + 1)]
 
 
 def test_alpha_zero_moments_are_modified_poisson_moments():
-    # beta_k + d_k(0, gamma) = (1/gamma) sum_r gamma^r S(k, r), exactly
+    # beta_k + d_k(0, gamma) = (1/gamma) sum_r gamma^r S(k, r), exactly: the
+    # table to its top, and the moment series at a = 0 to the cap
+    def poisson(gamma, k):
+        return sum(gamma**r * stirling2(k, r) for r in range(1, k + 1)) / gamma
+
     for gamma in IDENTITY_GAMMAS:
-        for k in range(1, MOMENT_K_MAX + 1):
-            poisson = sum(gamma**r * stirling2(k, r) for r in range(1, k + 1)) / gamma
+        for k in range(1, TABLE_TOP + 1):
             mu = mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(Fraction(0), gamma, k)
-            assert mu == poisson
+            assert mu == poisson(gamma, k)
+    gamma = Fraction(1, 5)
+    mu = series.moment_series(Fraction(0), gamma, MOMENT_K_MAX)
+    assert mu == [1] + [poisson(gamma, k) for k in range(1, MOMENT_K_MAX + 1)]
 
 
 def test_path_walk_does_not_depend_on_class_order(monkeypatch):
@@ -556,14 +568,14 @@ def table_gap_fractions(alpha, gamma, k):
 def test_integer_sum_equals_the_fraction_sum():
     # the integer pass against the table's Fraction sum for every k, and against
     # d_k reassembled from the path-walk Q_l for k <= 11
-    ks = range(1, MOMENT_K_MAX + 1)
+    ks = range(1, TABLE_TOP + 1)
     for alpha, gamma in TABLE_POINTS + RATIONAL_POINTS:
         a, g = Fraction(alpha), Fraction(gamma)
         gaps = [table_gap_fractions(a, g, k) for k in ks]
         assert [_heavy_tail_gap_exact(a, g, k) for k in ks] == gaps
         assert [heavy_tail_gap_fractions(a, g, k) for k in range(1, 12)] == gaps[:11]
         beta = [mp_moment_exact(g, k) for k in ks]
-        table = moment_table(alpha, gamma, MOMENT_K_MAX)
+        table = moment_table(alpha, gamma, TABLE_TOP)
         assert table.beta == tuple(map(float, beta))
         assert table.d == tuple(map(float, gaps))
         assert table.mu == tuple(float(b + d) for b, d in zip(beta, gaps))
@@ -572,6 +584,23 @@ def test_integer_sum_equals_the_fraction_sum():
             gaps = [_heavy_tail_gap_exact(alpha, gamma, k) for k in ks]
             assert gaps == [table_gap_fractions(alpha, gamma, k) for k in ks]
             assert gaps[:11] == [heavy_tail_gap_fractions(alpha, gamma, k) for k in range(1, 12)]
+
+
+# the CLI's golden points, and two more near the ends of the alpha range
+SERIES_POINTS = TABLE_POINTS + [(1e-06, 0.2), (1.999, 0.2), (1.999, 0.1), (1e-06, 3.0)]
+
+
+def test_moment_series_rounded_once_is_the_table():
+    # the fixed point at the binary (alpha, gamma), in exact rationals and rounded
+    # once, equals the table route bit for bit; and so do the first orders of a
+    # table that runs past the committed one and takes the series route
+    for alpha, gamma in SERIES_POINTS:
+        mu = series.moment_series(Fraction(alpha) / 2, Fraction(gamma), TABLE_TOP)
+        assert moment_table(alpha, gamma, TABLE_TOP).mu == tuple(map(float, mu[1:]))
+    for alpha, gamma in SERIES_POINTS[:2]:
+        longer = moment_table(alpha, gamma, TABLE_TOP + 2)
+        assert tuple(column[:TABLE_TOP] for column in longer) == moment_table(alpha, gamma, TABLE_TOP)
+        assert longer.mu[-1] == heavy_mp_moment(alpha, gamma, TABLE_TOP + 2)
 
 
 def series_product(x, y):
@@ -632,17 +661,25 @@ def exact_det(rows):
 
 def test_moments_form_a_stieltjes_sequence():
     # H_{alpha,gamma} is a law on [0, inf) whose support is not finite, so every
-    # Hankel matrix of its moments, and every one shifted by one, is positive definite
-    for alpha in (Fraction(i, 10) for i in range(1, 20, 2)):
-        for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)):
-            mu = [Fraction(1)] + [
-                mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
-                for k in range(1, MOMENT_K_MAX + 1)
-            ]
-            for n in range(1, MOMENT_K_MAX // 2 + 2):
-                assert exact_det([[mu[i + j] for j in range(n)] for i in range(n)]) > 0
-            for n in range(1, (MOMENT_K_MAX + 1) // 2 + 1):
-                assert exact_det([[mu[i + j + 1] for j in range(n)] for i in range(n)]) > 0
+    # Hankel matrix of its moments, and every one shifted by one, is positive
+    # definite: the table's moments to its top on a grid, and the moment series
+    # to the cap at two points
+    moment_lists = [
+        [Fraction(1)] + [
+            mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
+            for k in range(1, TABLE_TOP + 1)
+        ]
+        for alpha in (Fraction(i, 10) for i in range(1, 20, 2))
+        for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10))
+    ]
+    moment_lists += [series.moment_series(alpha / 2, gamma, MOMENT_K_MAX)
+                     for alpha, gamma in [(Fraction(1), Fraction(1, 5)), (Fraction(3, 2), Fraction(1, 2))]]
+    for mu in moment_lists:
+        top = len(mu) - 1
+        for n in range(1, top // 2 + 2):
+            assert exact_det([[mu[i + j] for j in range(n)] for i in range(n)]) > 0
+        for n in range(1, (top + 1) // 2 + 1):
+            assert exact_det([[mu[i + j + 1] for j in range(n)] for i in range(n)]) > 0
 
 
 def test_gap_nonnegative_and_positive_from_k4():
@@ -673,10 +710,7 @@ def test_moment_table_holds_the_one_argument_check():
     with pytest.raises(RuntimeError) as from_table:
         moment_table(1.0, 0.2, MOMENT_K_MAX + 1)
     assert str(from_table.value) == str(from_moment.value)
-    assert str(from_table.value) == (
-        "moment order k=19 exceeds 18, the top order of the committed d_k table; "
-        "scripts/build_dtable.py --max-length builds a longer one"
-    )
+    assert str(from_table.value) == "moment order k=41 exceeds 40, the largest order evaluated"
     for call in (heavy_mp_moment, heavy_tail_gap, moment_table):
         with pytest.raises(ValueError, match="k must be >= 1"):
             call(1.0, 0.2, 0)
