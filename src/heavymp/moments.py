@@ -10,7 +10,7 @@ point (alpha, gamma), beta_k and d_k become integer numerators over one
 denominator per k (``_moment_numerators``), each rounded once by an integer
 division: a cold k = 14 table takes under 2 ms.  Past 18, ``moment_table``
 runs the same fixed point at the point in exact rationals and rounds each
-of beta_k, d_k and mu_k once: k = 40 takes about 1 s.
+of beta_k, d_k and mu_k once: k = 40 at (1, 0.2) takes under 1 s.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def heavy_tail_gap(alpha: float, gamma: float, k: int) -> float:
     canonical length-k paths with a non-empty core I on r labels, P_I being
     the limit polynomial of the contributing column paths of I
     (``delta_graphs.contributing_sets``).  So d_k is a polynomial in alpha/2
-    and gamma, read from the committed table, evaluated in integers at the
-    binary values of alpha and gamma as one numerator over one denominator
-    (``_moment_numerators``), and rounded once by a single integer division.
+    and gamma, read up to k = 18 from the committed table as one integer
+    numerator over one denominator (``_moment_numerators``), and past 18 from
+    ``heavymp.series`` in exact rationals; either way it is rounded once.
     """
     return moment_table(alpha, gamma, k).d[-1]
 

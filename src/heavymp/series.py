@@ -13,8 +13,10 @@ becomes a fixed point for sum_k mu_k z^k in formal power series in z:
 
 with a = alpha/2 and (x)_n the rising factorial.  The last line is
 1 + (F(z, gamma X) - 1) / gamma for F(z, y) = sum_j V_j y^j, written without
-dividing by gamma.  V_j and W_(j-1) start at z^j, so each pass of the fixed
-point fixes two more orders of X.
+dividing by gamma.  gamma^j is folded into the rows of V_(j+1) and W_j, and the
+fixed point is solved in one sweep over n: W_j starts at z^(j+1), so [z^n] S
+reads the stored power X^j only to degree n - 1 - j, already fixed, and
+[z^n] X follows from X = 1 + a S X.  Each order of X and of X^j is made once.
 
 ``moment_series`` runs in the ring that a and gamma live in: at a point in
 exact Fractions (``moments.moment_table`` past the committed table), or in
@@ -34,13 +36,9 @@ def _product(x: list, y: list, degree: int) -> list:
     return [sum(x[d] * y[n - d] for d in range(min(n + 1, len(x)))) for n in range(degree + 1)]
 
 
-def _compose(weights: list, y: list, degree: int) -> list:
-    """sum_j weights[j] y^j to degree ``degree``, by Horner's rule; y has no
-    constant term and weights[j] starts at z^(j+1), so j < degree suffices."""
-    total = weights[degree - 1][: degree + 1]
-    for weight in reversed(weights[: degree - 1]):
-        total = [t + u for t, u in zip(_product(y, total, degree), weight)]
-    return total
+def _fold(rows: list, powers: list, n: int):
+    """[z^n] sum_j rows[j] powers[j], where rows[j] starts at z^(j+1)."""
+    return sum(rows[j][m] * powers[j][n - m] for j in range(n) for m in range(j + 1, n + 1))
 
 
 def moment_series(a, gamma, order: int) -> list:
@@ -51,21 +49,19 @@ def moment_series(a, gamma, order: int) -> list:
     c = [zero, one]  # c_(m+1) = c_m (m - a) / (m (m + 1))
     for m in range(1, order):
         c.append(c[m] * (Fraction(1, m + 1) + a * Fraction(-1, m * (m + 1))))
-    v, w, power = [], [], c  # V_(j+1), W_j and [w^N] C(w)^(j+1), from j = 0
+    v, w, power, scale = [], [], c, one  # gamma^j V_(j+1), gamma^j W_j, [w^N] C(w)^(j+1)
     for j in range(order):
-        v.append([power[n] * Fraction(factorial(n), factorial(j + 1)) for n in range(order + 1)])
+        v.append([power[n] * scale * Fraction(factorial(n), factorial(j + 1)) for n in range(order + 1)])
         w.append([zero] + [v[j][n] * Fraction(j + 1, n) for n in range(1, order + 1)])
-        power = _product(power, c, order)
+        power, scale = _product(power, c, order), scale * gamma
+    # powers[j] = X^j, and X is powers[1]; mu_order reads X^j to degree
+    # order - j, so X^j is extended only that far
     x = [one]
-    # W_j starts at z^(j+1), and W_1 at z^2 with coefficient 1, so S to degree n
-    # reads X only to degree n - 2: a pass fed X exact to degree q fixes S, and
-    # with it X, to degree q + 2.  The moments to degree ``order`` read X only
-    # to degree order - 1, so passes at p = 2, 4, ..., up to order suffice.
-    for p in range(2, order + 1, 2):
-        s = _compose(w, [gamma * t for t in x], p)
-        x = [one]
-        for n in range(1, p + 1):  # X = 1 + a S X
-            x.append(a * sum(s[d] * x[n - d] for d in range(1, n + 1)))
-    mu = _product(x, _compose(v, [gamma * t for t in x], order), order)
-    mu[0] += 1
-    return mu
+    powers = [[one] + [zero] * order, x] + [[one] for _ in range(2, order + 1)]
+    s = [zero]
+    for n in range(1, order):  # X = 1 + a S X, order n of S and then of X
+        s.append(_fold(w, powers, n))
+        x.append(a * sum(s[d] * x[n - d] for d in range(1, n + 1)))
+        for j in range(2, order - n + 1):
+            powers[j].append(sum(x[d] * powers[j - 1][n - d] for d in range(n + 1)))
+    return [one] + [_fold(v, powers[1:], n) for n in range(1, order + 1)]

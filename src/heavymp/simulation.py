@@ -130,24 +130,25 @@ def _student_t(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.nd
     uniforms before its phi uniforms, with one scratch block beside it.
     """
     scratch = np.empty((min(_T_BLOCK_ROWS, out.shape[0]), out.shape[1]))
-    for start in range(0, out.shape[0], _T_BLOCK_ROWS):
-        t = out[start : start + _T_BLOCK_ROWS]
-        tan = scratch[: t.shape[0]]
-        rng.random(out=t)
-        np.subtract(1.0, t, out=t)
-        np.log(t, out=t)
-        t *= -2.0 / alpha
-        np.expm1(t, out=t)
-        t *= 4.0 * alpha  # the factor 2 of sin 2phi, squared under the root
-        np.sqrt(t, out=t)
-        rng.random(out=tan)
-        tan -= 0.5
-        tan *= np.pi / 2
-        np.tan(tan, out=tan)
-        t *= tan
-        np.multiply(tan, tan, out=tan)
-        tan += 1.0
-        t /= tan
+    with np.errstate(over="ignore", invalid="ignore"):  # _correlation reports inf and NaN
+        for start in range(0, out.shape[0], _T_BLOCK_ROWS):
+            t = out[start : start + _T_BLOCK_ROWS]
+            tan = scratch[: t.shape[0]]
+            rng.random(out=t)
+            np.subtract(1.0, t, out=t)
+            np.log(t, out=t)
+            t *= -2.0 / alpha
+            np.expm1(t, out=t)
+            t *= 4.0 * alpha  # the factor 2 of sin 2phi, squared under the root
+            np.sqrt(t, out=t)
+            rng.random(out=tan)
+            tan -= 0.5
+            tan *= np.pi / 2
+            np.tan(tan, out=tan)
+            t *= tan
+            np.multiply(tan, tan, out=tan)
+            tan += 1.0
+            t /= tan
     return out
 
 
@@ -155,7 +156,8 @@ def _pareto(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.ndarr
     """Fill ``out`` with sign * U^(-1/alpha), U uniform on (0, 1], sign from the top bit of a random byte."""
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
-    out **= -1.0 / alpha
+    with np.errstate(over="ignore"):  # _correlation reports inf
+        out **= -1.0 / alpha
     signs = rng.integers(-128, 128, size=out.shape, dtype=np.int8)
     return np.copysign(out, signs, out=out)
 

@@ -496,18 +496,22 @@ def test_main_io_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflow_exits_2(tmp_path, capsys):
-    # alpha=0.02 Pareto entries reach 1e154 and beyond, so squared row norms overflow
-    code = main(
-        ["simulate", "--dist", "pareto", "--alpha", "0.02", "--p", "50", "--n", "2000",
-         "--k", "3", "--replicates", "2", "--seed", "3", "--out", str(tmp_path)]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "alpha=0.02" in err and "row " in err
-    assert not (tmp_path / "moments.csv").exists()
+    # alpha=0.02 Pareto entries reach 1e154 and beyond, so squared row norms
+    # overflow; at alpha=0.01 the draw U^(-100) itself overflows, silently
+    for alpha in ("0.02", "0.01"):
+        code = main(
+            ["simulate", "--dist", "pareto", "--alpha", alpha, "--p", "50", "--n", "2000",
+             "--k", "3", "--replicates", "2", "--seed", "3", "--out", str(tmp_path / alpha)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"alpha={alpha}" in err and "row " in err
+        assert not (tmp_path / alpha).exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_t_overflow_exits_2(tmp_path, capsys):
     # at alpha=0.02 a t draw is about 0.14 W^(-50) sin 2phi, so a W below
     # about 1e-3 overflows the draw or its square; inf, or NaN where

@@ -314,7 +314,7 @@ def built_prefix(pythonpath, max_length=7):
 @pytest.mark.parametrize("max_length", [1, 2, 7])
 def test_build_script_writes_the_table_prefix(max_length):
     # the script's output for orders 1..max_length (d_1..d_3 are empty) carries the committed entries
-    # exactly; the fixed point makes no pass at length 1 and one at length 2
+    # exactly; the sweep fixes no order of X past the first at length 1, and one more at length 2
     prefix = built_prefix(os.pathsep.join(sys.path), max_length)
     assert prefix == {k: _dtable.D[k] for k in range(1, max_length + 1)}
 
@@ -601,6 +601,12 @@ def test_moment_series_rounded_once_is_the_table():
         longer = moment_table(alpha, gamma, TABLE_TOP + 2)
         assert tuple(column[:TABLE_TOP] for column in longer) == moment_table(alpha, gamma, TABLE_TOP)
         assert longer.mu[-1] == heavy_mp_moment(alpha, gamma, TABLE_TOP + 2)
+    # and, unrounded, at points no binary float hits, it is the table's exact mu_k
+    for alpha, gamma in [(Fraction(2, 3), Fraction(5, 7)), (Fraction(7, 5), Fraction(3, 2)),
+                         (Fraction(1, 10), Fraction(1, 3))]:
+        mu = series.moment_series(alpha / 2, gamma, TABLE_TOP)
+        assert mu[1:] == [mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
+                          for k in range(1, TABLE_TOP + 1)]
 
 
 def series_product(x, y):

@@ -212,6 +212,7 @@ def test_t_zero_uniform_gives_finite_draw():
     assert np.array_equal(draws, np.zeros_like(draws))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_t_overflow_at_zero_angle_is_nan_and_caught():
     # W = 2^-53 overflows W^(-100) at alpha=0.02, and a uniform of 1/2 is the
     # angle phi = 0: inf * tan(0) is NaN, which the row-norm check rejects
@@ -230,6 +231,7 @@ def test_correlation_matrix_overflow_names_row():
         _correlation([np.ones((2, 3)), np.array([[1.0], [1e200]])])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_in_a_multi_panel_replicate_names_row_and_alpha():
     # alpha=0.02 Pareto entries reach 1e154 and beyond, so squared row norms overflow
     n = 3 * simulation._PANEL_COLUMNS + 1
