@@ -6,9 +6,12 @@ The engines check their own arguments: ``main`` maps the ValueError of a
 rejected argument to 1, an ArithmeticError to 2 and an OSError to 3, so the
 CLI repeats none of their checks.  The parser raises its usage errors as
 ValueErrors too, so they exit 1, not with argparse's 2.  All commands are
-deterministic given their flags (and seed).  ``simulate`` and ``compare`` pass
---threads to the engine as given: without it, the engine picks the replicate
-thread count.
+deterministic given their flags (and seed).  The run flags of ``simulate``
+and ``compare`` are ``simulation.SimConfig``'s fields, passed to it as parsed,
+--threads included: without it, the engine picks the replicate thread count.
+``compare`` reads its exact target at gamma = p/n, the simulated ratio, and
+z = (mean - exact) / stderr; when every replicate gives the same m_k, z is 0
+if the mean is exact and +-inf otherwise.
 
 The engines write no file: this module formats every output, floats in 17
 significant digits, which round-trip a float64.  ``simulate`` writes its
@@ -147,29 +150,14 @@ def _parse_hist(text: str) -> tuple[int, float, float]:
     return bins, lo, hi
 
 
-def simulate(
-    p: int,
-    n: int,
-    dist: str,
-    alpha: float | None,
-    k_max: int,
-    replicates: int,
-    seed: int,
-    out: FilePath,
-    threads: int | None,
-    hist_text: str | None,
-    save_eigenvalues: bool,
-) -> None:
+def simulate(out: FilePath, hist_text: str | None, save_eigenvalues: bool, **flags) -> None:
     """Simulate replicates and write moments.csv / summary.json to --out."""
     import numpy as np
 
     from heavymp import simulation
 
     hist = None if hist_text is None else _parse_hist(hist_text)
-    config = simulation.SimConfig(
-        p=p, n=n, dist=dist, alpha=alpha, k_max=k_max, replicates=replicates, seed=seed,
-        threads=threads, spectrum=hist is not None or save_eigenvalues,
-    )
+    config = simulation.SimConfig(**flags, spectrum=hist is not None or save_eigenvalues)
     report = simulation.run_experiment(config)
     written = []
 
@@ -180,16 +168,14 @@ def simulate(
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        header = "replicate," + ",".join(f"m{k}" for k in range(1, k_max + 1))
+        header = "replicate," + ",".join(f"m{k}" for k in range(1, config.k_max + 1))
         write("moments.csv", [header] + [
             f"{j}," + ",".join(map(_fmt, row)) for j, row in enumerate(report.moments)
         ])
-        summary = {
-            "p": p, "n": n, "dist": dist, "alpha": alpha, "k_max": k_max,
-            "replicates": replicates, "seed": seed,
-            "mean_moments": report.mean_moments.tolist(),
-            "std_moments": report.std_moments.tolist(),
-        }
+        # keys in the order the parser adds the flags
+        summary = {key: value for key, value in flags.items() if key != "threads"}
+        summary["mean_moments"] = report.mean_moments.tolist()
+        summary["std_moments"] = report.std_moments.tolist()
         write("summary.json", [json.dumps(summary, indent=2)])
         if save_eigenvalues:
             for j, spectrum in enumerate(report.spectra):
@@ -206,19 +192,7 @@ def simulate(
         print(f"wrote {path}")
 
 
-def compare(
-    alpha: float,
-    gamma: float | None,
-    kmax: int,
-    p: int,
-    n: int,
-    dist: str,
-    replicates: int,
-    seed: int,
-    threads: int | None,
-    z_threshold: float,
-    fmt: str,
-) -> int:
+def compare(alpha: float, z_threshold: float, fmt: str, **flags) -> int:
     """Exact moments vs Monte Carlo means; exits non-zero if any |z| is large.
 
     Gaussian data are compared against the classical moments; heavy-tailed
@@ -228,20 +202,20 @@ def compare(
 
     if not z_threshold >= 0:  # no |z| exceeds a NaN, so NaN would pass every run
         raise ValueError(f"--z-threshold must be >= 0, got {z_threshold}")
-    table = moments.moment_table(alpha, p / n if gamma is None else gamma, kmax)
-    exact = table.beta if dist == "gaussian" else table.mu
-    config = simulation.SimConfig(
-        p=p, n=n, dist=dist, alpha=None if dist == "gaussian" else alpha, k_max=kmax,
-        replicates=replicates, seed=seed, threads=threads,
-    )
+    gaussian = flags["dist"] == "gaussian"
+    table = moments.moment_table(alpha, flags["p"] / flags["n"], flags["k_max"])
+    exact = table.beta if gaussian else table.mu
+    config = simulation.SimConfig(**flags, alpha=None if gaussian else alpha)
     report = simulation.run_experiment(config)
     stderr = report.stderr_moments()
     rows = []
     worst = 0.0
-    for k in range(1, kmax + 1):
+    for k in range(1, config.k_max + 1):
         mean = report.mean_moments[k - 1]
         se = stderr[k - 1]
-        z = (mean - exact[k - 1]) / se if se > 0 else 0.0
+        gap = mean - exact[k - 1]
+        # with no spread a mean off the exact value is infinitely many stderrs off
+        z = gap / se if se > 0 else math.copysign(math.inf, gap) if gap else 0.0
         worst = max(worst, abs(z))
         rows.append((k, exact[k - 1], mean, se, z))
     if fmt == "csv":
@@ -346,8 +320,7 @@ def _build_parser() -> _Parser:
 
     add = command("compare", compare)
     add("--alpha", type=float, required=True, help="Tail index of the exact target")
-    add("--gamma", type=float, default=None, help="Defaults to p/n")
-    add("--kmax", type=_int_range(1, moment_cap), default=5,
+    add("--kmax", dest="k_max", metavar="KMAX", type=_int_range(1, moment_cap), default=5,
         help=f"largest k, 1 to {moment_cap}" + _DEFAULT)
     add("--p", type=_int_range(1), default=500, help="rows, at least 1" + _DEFAULT)
     add("--n", type=_int_range(1), default=2500, help="columns, at least 1" + _DEFAULT)

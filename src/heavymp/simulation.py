@@ -325,7 +325,9 @@ def run_replicate(config: SimConfig, replicate: int) -> tuple[np.ndarray, np.nda
         eigenvalues = np.linalg.eigvalsh(corr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ArithmeticError(f"eigensolver failed on replicate {replicate}: {exc}") from exc
-    return empirical_moments(eigenvalues, config.k_max), eigenvalues
+    moments = empirical_moments(eigenvalues, config.k_max)
+    moments[0] = np.trace(corr) / config.p  # exactly 1, as on the trace route
+    return moments, eigenvalues
 
 
 def _bundled_blas(name: str, argtypes: list, restype):

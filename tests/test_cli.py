@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,11 +159,14 @@ def test_simulate_files_are_the_engine_report_bit_for_bit(tmp_path):
         replicate, *values = line.split(",")
         assert int(replicate) == j
         assert np.array_equal(np.array(values, dtype=float), row)
-    assert json.loads((tmp_path / "summary.json").read_text()) == {
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    expected = {
         "p": 12, "n": 40, "dist": "pareto", "alpha": 0.7, "k_max": 4, "replicates": 3,
         "seed": 6, "mean_moments": list(report.mean_moments),
         "std_moments": list(report.std_moments),
     }
+    # the keys come in the order of simulate's flags; dict equality ignores it
+    assert summary == expected and list(summary) == list(expected)
     for j, spectrum in enumerate(report.spectra):
         text = (tmp_path / f"eigenvalues_{j}.csv").read_text()
         assert np.array_equal(np.array(text.splitlines(), dtype=float), spectrum)
@@ -417,9 +421,12 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["compare", "--alpha", "1", "--gamma", "inf"], "gamma must be finite and positive"),
-        (["compare", "--alpha", "1", "--gamma", "nan"], "gamma must be finite and positive"),
-        (["compare", "--alpha", "1", "--gamma", "0"], "gamma must be finite and positive"),
+        # the exact target is always at gamma = p/n, the simulated ratio
+        (["compare", "--alpha", "1", "--gamma", "0.2"], "unrecognized arguments: --gamma"),
+        # --kmax fills SimConfig's k_max but keeps its name in messages
+        (["compare", "--alpha", "1", "--kmax", "0"], "argument --kmax: 0 is not in the range"),
+        # the exact table checks alpha before the t sampler does
+        (["compare", "--alpha", "3"], "alpha must lie in the open interval"),
         (["compare", "--alpha", "3", "--dist", "gaussian"], "alpha must lie in the open interval"),
         (["compare", "--alpha", "1", "--n", "0"], "--n"),
         (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
@@ -484,6 +491,24 @@ def test_compare_over_threshold_exits_2_through_main():
          "--kmax", "4", "--replicates", "6", "--seed", "3", "--z-threshold", "inf"]
     )
     assert code == 0
+    # with n = 1, R = s s' for a sign vector s, so every replicate gives m_k = p^(k-1):
+    # no spread, so a mean off the exact value is z = -inf
+    args = ["compare", "--alpha", "1", "--n", "1", "--replicates", "3", "--kmax", "3", "--seed", "1"]
+    result = run(*args, "--p", "40")
+    assert result.exit_code == 2
+    assert result.output.splitlines()[1:] == ["1,1,1,0,0", "2,41,40,0,-inf", "3,1721,1600,0,-inf"]
+    result = run(*args, "--p", "1", "--format", "json")
+    assert result.exit_code == 2
+    assert [row["z"] for row in json.loads(result.output)] == [0.0, -math.inf, -math.inf]
+    assert result.output.count('"z": -Infinity') == 2
+
+
+def test_compare_spectrum_route_m1_is_exactly_one():
+    # m_1 is tr(R)/p on the spectrum route too, exactly 1, so rounding cannot give it a z
+    result = run("compare", "--alpha", "1", "--p", "50", "--n", "100", "--dist", "t",
+                 "--kmax", "9", "--replicates", "5", "--seed", "1")
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1] == "1,1,1,0,0"
 
 
 def test_main_io_error(tmp_path):

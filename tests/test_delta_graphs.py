@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 
 import pytest
@@ -75,11 +74,8 @@ def test_walk_matches_brute_force_up_to_length_8():
     assert checked == 86
 
 
+# the brute filter over all cores of length 10 takes about 20 s
 @pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="the brute filter over all cores of length 10 takes about 20 s; set HEAVYMP_FULL_SCALE=1",
-)
 @pytest.mark.parametrize("k, n_cores", [(9, 307), (10, 1_554)])
 def test_walk_matches_brute_force_at_lengths_9_and_10(k, n_cores):
     cores = list(singleton_free_paths(k, run_free=True))

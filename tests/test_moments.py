@@ -269,12 +269,8 @@ def test_path_walk_matches_the_recursion_and_the_table(built):
         assert gap_polynomial(k) == table[k] == table_gap(k)
 
 
+# the path walk visits the 15,257,811 irreducible paths of lengths 4..15 in about 5 min
 @pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="the path walk visits the 15,257,811 irreducible paths of lengths 4..15 in about "
-    "5 min; set HEAVYMP_FULL_SCALE=1",
-)
 def test_path_walk_matches_the_table_at_length15():
     assert gap_polynomial(15) == table_gap(15)
 
@@ -479,11 +475,8 @@ def test_census_counts_are_class_size_times_multiplicity():
         check_census_multiplicity(m)
 
 
+# the census shortens 580,317 paths of length 12 in about 15 s
 @pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="the census shortens 580,317 paths of length 12 in about 15 s; set HEAVYMP_FULL_SCALE=1",
-)
 def test_census_multiplicity_length12():
     check_census_multiplicity(12)
 

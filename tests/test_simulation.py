@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -119,11 +118,8 @@ def test_t_sampler_ragged_last_block():
     _assert_matches_standard_t(sample(p, n, "t", seed=22, alpha=0.8), 0.8)
 
 
+# 10^7 draws per alpha and their KS test take about 11 s
 @pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("HEAVYMP_FULL_SCALE"),
-    reason="10^7 draws per alpha and their KS test take about 11 s; set HEAVYMP_FULL_SCALE=1",
-)
 def test_t_sampler_large_sample_oracle():
     shape = (1000, 10**4)
     for alpha in (0.3, 1.0, 1.7):
