@@ -13,9 +13,9 @@ Each stage has one implementation, the one ``run_replicate`` runs:
 ``_panels`` samples, ``_correlation`` forms R, and ``trace_moments`` or
 eigvalsh gives the moments.  A replicate holds at most ``_PANEL_COLUMNS``
 columns of its p x n sample at once.  It draws the sample as column panels,
-left to right, each in place in one reused p x w buffer, and adds each
-panel's product X_b X_b' into the upper triangle of the Gram matrix X X' in
-place, with the BLAS that numpy bundles.
+left to right, each in place in one reused p x w buffer.  The Gram matrix
+X X' starts at zero, and each panel's product X_b X_b' is added into its
+upper triangle in place, with the BLAS that numpy bundles.
 
 Every run, from the library or the CLI, runs its replicates on one pool of
 ``SimConfig.threads`` threads and does all its BLAS and LAPACK on one
@@ -162,24 +162,21 @@ def _pareto(rng: np.random.Generator, alpha: float, out: np.ndarray) -> np.ndarr
     return np.copysign(out, signs, out=out)
 
 
-def _correlation(panels) -> np.ndarray:
-    """R = Y Y' from the column panels X_b of the data: G = sum_b X_b X_b', then scaled.
+def _correlation(p: int, panels) -> np.ndarray:
+    """R = Y Y' from the p-row column panels X_b of the data: G = sum_b X_b X_b', then scaled.
 
-    BLAS adds each X_b X_b' into G's upper triangle in place as a symmetric
-    rank-k update (``_add_panel_product``), so a replicate holds one panel
-    and G and no spare p x p buffer.  Then, ``_GRAM_BLOCK_ROWS`` rows at a
-    time, each block's part of the upper triangle on and right of its
-    diagonal is divided by the row norms' products |x_i| |x_j| and the
-    block's part left of its diagonal is copied from the transposed rows
-    above it, so R = G / (|x_i| |x_j|) is exactly symmetric.  R's diagonal
-    is set to exactly 1.
+    G starts at zero, and BLAS adds every X_b X_b' into its upper triangle
+    in place as a symmetric rank-k update (``_add_panel_product``), so a
+    replicate holds one panel and G and no spare p x p buffer.  Then,
+    ``_GRAM_BLOCK_ROWS`` rows at a time, each block's part of the upper
+    triangle on and right of its diagonal is divided by the row norms'
+    products |x_i| |x_j| and the block's part left of its diagonal is
+    copied from the transposed rows above it, so R = G / (|x_i| |x_j|) is
+    exactly symmetric.  R's diagonal is set to exactly 1.
     """
-    panels = iter(panels)
-    first = next(panels)
-    gram = np.empty((first.shape[0],) * 2)
-    _add_panel_product(gram, first, beta=0.0)
+    gram = np.zeros((p, p))
     for panel in panels:
-        _add_panel_product(gram, panel, beta=1.0)
+        _add_panel_product(gram, panel)
     sq_norms = np.diag(gram).copy()
     bad_rows = np.flatnonzero(~np.isfinite(sq_norms))
     if bad_rows.size:
@@ -192,7 +189,6 @@ def _correlation(panels) -> np.ndarray:
         raise ValueError(f"row {zero_rows[0]} is identically zero; cannot normalize")
     norms = np.sqrt(sq_norms)
     below_diagonal = np.tri(_GRAM_BLOCK_ROWS, k=-1, dtype=bool)
-    p = gram.shape[0]
     for start in range(0, p, _GRAM_BLOCK_ROWS):
         stop = min(start + _GRAM_BLOCK_ROWS, p)
         square = gram[start:stop, start:stop]
@@ -203,26 +199,25 @@ def _correlation(panels) -> np.ndarray:
     return gram
 
 
-def _add_panel_product(gram: np.ndarray, panel: np.ndarray, beta: float) -> None:
-    """Set gram to beta * gram + X X' for the panel X, in place, in gram's upper triangle.
+def _add_panel_product(gram: np.ndarray, panel: np.ndarray) -> None:
+    """Add X X' for the panel X to gram's upper triangle, in place.
 
-    The bundled ``cblas_dsyrk`` (``_blas_dsyrk``) writes the upper triangle
+    The bundled ``cblas_dsyrk`` (``_blas_dsyrk``) updates the upper triangle
     only, the diagonal included, and leaves the rest of gram as it was.
-    numpy forms X X' by the same call with beta = 0, so a one-panel Gram is
-    bit for bit numpy's.  Without the symbol, numpy's product is written to
-    gram (beta = 0) or added to it (beta = 1), through one p x p temporary.
+    Added to a zero gram, one product is bit for bit numpy's X X', which is
+    the same call writing over its output.  Without the symbol, numpy's
+    product is added to gram through one p x p temporary.
     """
+    if panel.shape[0] != gram.shape[0]:  # dsyrk would write past gram
+        raise ValueError(f"a {panel.shape[0]}-row panel cannot update a {gram.shape[0]}-row Gram")
     panel = np.ascontiguousarray(panel, dtype=np.float64)
     dsyrk = _blas_dsyrk()
     if dsyrk is None:
-        if beta:
-            gram += panel @ panel.T
-        else:
-            np.matmul(panel, panel.T, out=gram)
+        gram += panel @ panel.T
         return
     p, w = panel.shape
     dsyrk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, p, w, 1.0, panel.ctypes.data, w,
-          beta, gram.ctypes.data, p)
+          1.0, gram.ctypes.data, p)
 
 
 def trace_moments(corr: np.ndarray, k_max: int) -> np.ndarray:
@@ -314,7 +309,7 @@ def run_replicate(config: SimConfig, replicate: int) -> tuple[np.ndarray, np.nda
     ``trace_moments``."""
     panels = _panels(config.p, config.n, config.dist, config.alpha, config.seed, replicate)
     try:
-        corr = _correlation(panels)
+        corr = _correlation(config.p, panels)
     except ArithmeticError as exc:
         raise ArithmeticError(
             f"{config.dist} draws with alpha={config.alpha}, replicate {replicate}: {exc}"

@@ -511,6 +511,29 @@ def test_compare_spectrum_route_m1_is_exactly_one():
     assert result.output.splitlines()[1] == "1,1,1,0,0"
 
 
+@pytest.mark.parametrize("kmax", ["18", "20"])  # the table route, then the series route
+def test_moments_overflow_exits_2_naming_the_order_and_the_point(capsys, kmax):
+    assert main(["moments", "--alpha", "1", "--gamma", "1e30", "--kmax", kmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric error: moment order k=12 at (alpha, gamma) = (1.0, 1e+30) exceeds the largest float64\n"
+    )
+
+
+def test_compare_reads_orders_9_to_12_from_the_table_against_the_spectrum_route():
+    result = run("compare", "--alpha", "1", "--p", "60", "--n", "300", "--kmax", "12",
+                 "--replicates", "3", "--seed", "1", "--z-threshold", "1e9", "--format", "json")
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.output)
+    assert [row["k"] for row in rows] == list(range(1, 13))
+    exact = moments.moment_table(1.0, 60 / 300, 12).mu
+    assert [row["mu_exact"] for row in rows] == [exact[k - 1] for k in range(1, 13)]
+    # orders past TRACE_K_CUT have no trace route, so these replicates ran eigvalsh
+    config = simulation.SimConfig(p=60, n=300, dist="t", alpha=1.0, k_max=12, replicates=3, seed=1)
+    assert config.k_max >= simulation.TRACE_K_CUT and config.needs_spectrum
+
+
 def test_main_io_error(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("file, not a directory")

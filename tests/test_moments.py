@@ -723,6 +723,16 @@ def test_refusal_over_the_cap_is_immediate():
     assert time.perf_counter() - start < 0.5
 
 
+def test_moment_table_overflow_names_the_order_and_the_point():
+    # beta_12 at gamma = 1e30 is about gamma^11 = 1e330, past the largest float64
+    # (about 1.8e308); k_max = TABLE_TOP reads the table, TABLE_TOP + 2 the series
+    message = r"^moment order k=12 at \(alpha, gamma\) = \(1\.0, 1e\+30\) exceeds the largest float64$"
+    for k_max in (TABLE_TOP, TABLE_TOP + 2):
+        with pytest.raises(OverflowError, match=message):
+            moment_table(1.0, 1e30, k_max)
+    assert moment_table(1.0, 1e30, 11).beta[-1] > 1e300
+
+
 def test_moment_table():
     table = moment_table(1.0, 0.2, 5)
     assert table.mu == tuple(heavy_mp_moment(1.0, 0.2, k) for k in range(1, 6))

@@ -216,15 +216,15 @@ def test_t_overflow_at_zero_angle_is_nan_and_caught():
     draws = _student_t(tiny_w, 0.02, np.empty((2, 3)))
     assert np.all(np.isnan(draws))
     with pytest.raises(ArithmeticError, match="row 0 has squared norm nan"):
-        _correlation([draws])
+        _correlation(2, [draws])
 
 
 def test_correlation_matrix_overflow_names_row():
     with pytest.raises(ArithmeticError, match="row 1"):
-        _correlation([np.array([[1.0, 2.0], [1e200, 1.0]])])
+        _correlation(2, [np.array([[1.0, 2.0], [1e200, 1.0]])])
     # an overflow in a later panel survives the sum of the panel products
     with pytest.raises(ArithmeticError, match="row 1 has squared norm inf"):
-        _correlation([np.ones((2, 3)), np.array([[1.0], [1e200]])])
+        _correlation(2, [np.ones((2, 3)), np.array([[1.0], [1e200]])])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -245,7 +245,7 @@ def test_streamed_replicate_matches_the_sample_matrix_oracle(dist, alpha):
     widths = [panel.shape[1] for panel in simulation._panels(p, n, dist, alpha, 4, 2)]
     assert widths == [n // 3 + 1] * (n % 3) + [n // 3] * (3 - n % 3)
     oracle = reference_correlation(sample(p, n, dist, seed=4, alpha=alpha, replicate=2))
-    corr = _correlation(simulation._panels(p, n, dist, alpha, 4, 2))
+    corr = _correlation(p, simulation._panels(p, n, dist, alpha, 4, 2))
     assert np.array_equal(corr, corr.T)
     assert np.array_equal(np.diag(corr), np.ones(p))
     assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
@@ -271,7 +271,7 @@ def test_reference_correlation_is_the_matrix_of_row_cosines():
 
 @pytest.mark.parametrize("p, n", [(40, 200), (30, 10)])
 def test_trace_moments_match_spectrum(p, n):
-    corr = _correlation(simulation._panels(p, n, "t", 1.0, 8, 0))
+    corr = _correlation(p, simulation._panels(p, n, "t", 1.0, 8, 0))
     spectrum = np.linalg.eigvalsh(corr)
     for k_max in range(1, TRACE_K_CUT):
         expected = empirical_moments(spectrum, k_max)
@@ -283,7 +283,7 @@ def test_trace_moments_match_spectrum(p, n):
 
 def test_eigenvalues_kept_exactly_when_needed():
     base = dict(p=20, n=60, dist="t", alpha=1.0, replicates=1, seed=3)
-    spectrum = np.linalg.eigvalsh(_correlation(simulation._panels(20, 60, "t", 1.0, 3, 0)))
+    spectrum = np.linalg.eigvalsh(_correlation(20, simulation._panels(20, 60, "t", 1.0, 3, 0)))
     trace_moments_only, no_spectrum = run_replicate(SimConfig(**base, k_max=TRACE_K_CUT - 1), 0)
     assert no_spectrum is None
     for extra in (dict(k_max=4, spectrum=True), dict(k_max=TRACE_K_CUT)):
@@ -296,23 +296,29 @@ def test_eigenvalues_kept_exactly_when_needed():
 def test_correlation_matrix_unit_diagonal():
     # exactly symmetric with an exactly unit diagonal, for every sampler
     for dist, alpha in (("t", 1.0), ("pareto", 0.5), ("gaussian", None)):
-        corr = _correlation(simulation._panels(60, 300, dist, alpha, 3, 0))
+        corr = _correlation(60, simulation._panels(60, 300, dist, alpha, 3, 0))
         assert np.array_equal(corr, corr.T)
         assert np.array_equal(np.diag(corr), np.ones(60))
 
 
 def test_correlation_matrix_orthogonal_rows():
-    corr = _correlation([np.array([[1.0, 0.0], [0.0, 1.0]])])
+    corr = _correlation(2, [np.array([[1.0, 0.0], [0.0, 1.0]])])
     assert np.allclose(corr, np.eye(2))
 
 
 def test_correlation_matrix_p1():
-    assert np.allclose(_correlation([np.array([[3.0, 4.0]])]), [[1.0]])
+    assert np.allclose(_correlation(1, [np.array([[3.0, 4.0]])]), [[1.0]])
+
+
+def test_correlation_refuses_a_panel_of_another_row_count():
+    # the rank-k update would otherwise write past a Gram smaller than the panel
+    with pytest.raises(ValueError, match="a 3-row panel cannot update a 2-row Gram"):
+        _correlation(2, [np.ones((2, 4)), np.ones((3, 4))])
 
 
 def test_correlation_matrix_zero_row():
     with pytest.raises(ValueError, match="row 1"):
-        _correlation([np.array([[1.0, 2.0], [0.0, 0.0]])])
+        _correlation(2, [np.array([[1.0, 2.0], [0.0, 0.0]])])
 
 
 def _numpy_formula(x):
@@ -332,14 +338,14 @@ def test_one_panel_correlation_is_numpys_formula_bit_for_bit(p):
     # do not move when the Gram is accumulated in place
     for dist, alpha in (("t", 1.0), ("pareto", 0.5), ("gaussian", None)):
         (panel,) = simulation._panels(p, 300, dist, alpha, 5, 1)
-        assert np.array_equal(_correlation([panel]), _numpy_formula(panel))
+        assert np.array_equal(_correlation(p, [panel]), _numpy_formula(panel))
 
 
 def test_three_panel_correlation_over_several_row_blocks():
     # three panels accumulate into the upper triangle, and p spans three row
     # blocks of the scaling and mirroring, the last one ragged
     p, n = 2 * simulation._GRAM_BLOCK_ROWS + 3, 2 * simulation._PANEL_COLUMNS + 3
-    corr = _correlation(simulation._panels(p, n, "t", 1.0, 7, 0))
+    corr = _correlation(p, simulation._panels(p, n, "t", 1.0, 7, 0))
     assert np.array_equal(corr, corr.T)
     assert np.array_equal(np.diag(corr), np.ones(p))
     oracle = reference_correlation(sample(p, n, "t", seed=7, alpha=1.0))
@@ -350,17 +356,18 @@ def test_correlation_takes_any_panel_layout():
     # Fortran-ordered, strided and integer panels are copied to C order
     # before the rank-k update; a float panel already in C order is not
     rng = np.random.default_rng(12)
-    data = rng.integers(-9, 10, size=(2 * simulation._GRAM_BLOCK_ROWS + 1, 30))
-    wide = rng.standard_normal((data.shape[0], 40))
+    p = 2 * simulation._GRAM_BLOCK_ROWS + 1
+    data = rng.integers(-9, 10, size=(p, 30))
+    wide = rng.standard_normal((p, 40))
     panels = [np.asfortranarray(data[:, :10].astype(float)), wide[:, ::2], data[:, 10:]]
-    corr = _correlation(panels)
+    corr = _correlation(p, panels)
     oracle = reference_correlation(np.hstack([data[:, :10], wide[:, ::2], data[:, 10:]]))
     assert np.array_equal(corr, corr.T)
-    assert np.array_equal(np.diag(corr), np.ones(data.shape[0]))
+    assert np.array_equal(np.diag(corr), np.ones(p))
     assert np.allclose(corr, oracle, rtol=1e-12, atol=1e-15)
     for panel in panels:
-        assert np.array_equal(_correlation([panel]), _correlation([panel.astype(float, order="C")]))
-    assert np.array_equal(_correlation([np.array([[3, 4]]), np.array([[0.5]])]), [[1.0]])
+        assert np.array_equal(_correlation(p, [panel]), _correlation(p, [panel.astype(float, order="C")]))
+    assert np.array_equal(_correlation(1, [np.array([[3, 4]]), np.array([[0.5]])]), [[1.0]])
 
 
 def test_correlation_peak_memory_is_the_gram_and_a_few_row_blocks():
@@ -370,10 +377,10 @@ def test_correlation_peak_memory_is_the_gram_and_a_few_row_blocks():
     _dsyrk_or_skip()
     p = 300
     panels = [np.random.default_rng(j).standard_normal((p, 200)) for j in range(3)]
-    _correlation(panels)  # numpy's one-off allocations are left out
+    _correlation(p, panels)  # numpy's one-off allocations are left out
     tracemalloc.start()
     try:
-        _correlation(panels)
+        _correlation(p, panels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,7 +398,7 @@ def test_correlation_without_dsyrk_falls_back_to_numpys_product(monkeypatch):
     assert_same_moments(run_experiment(SimConfig(**base, n=300)), one_panel)
     fallback, _ = run_replicate(SimConfig(**base, n=three_panels), 1)
     assert np.allclose(fallback, with_dsyrk, rtol=1e-12, atol=0)
-    corr = _correlation(simulation._panels(p, three_panels, "t", 1.0, 15, 1))
+    corr = _correlation(p, simulation._panels(p, three_panels, "t", 1.0, 15, 1))
     assert np.array_equal(corr, corr.T)
     assert np.array_equal(np.diag(corr), np.ones(p))
     oracle = reference_correlation(sample(p, three_panels, "t", seed=15, alpha=1.0, replicate=1))
@@ -529,13 +536,14 @@ def test_dsyrk_is_found_and_updates_the_upper_triangle_only():
     _dsyrk_or_skip()
     a = np.arange(-6.0, 9.0).reshape(3, 5)
     b = np.arange(12.0).reshape(3, 4)
-    gram = np.full((3, 3), np.nan)
-    upper = np.triu_indices(3)
-    simulation._add_panel_product(gram, a, beta=0.0)
+    upper, lower = np.triu_indices(3), np.tril_indices(3, -1)
+    gram = np.zeros((3, 3))
+    gram[lower] = np.nan
+    simulation._add_panel_product(gram, a)
     assert np.array_equal(gram[upper], (a @ a.T)[upper])
-    simulation._add_panel_product(gram, b, beta=1.0)
+    simulation._add_panel_product(gram, b)
     assert np.array_equal(gram[upper], (a @ a.T + b @ b.T)[upper])
-    assert np.all(np.isnan(gram[np.tril_indices(3, -1)]))
+    assert np.all(np.isnan(gram[lower]))
 
 
 @pytest.fixture
