@@ -3,9 +3,13 @@ boundary, simulate and compare subcommands with CSV/JSON output.
 
 Exit codes: 0 success, 1 a rejected argument, 2 numeric failure, 3 I/O error.
 The engines check their own arguments: ``main`` maps the ValueError of a
-rejected argument to 1, an ArithmeticError to 2 and an OSError to 3, so the
-CLI repeats none of their checks.  The parser raises its usage errors as
-ValueErrors too, so they exit 1, not with argparse's 2.  All commands are
+rejected argument to 1, an ArithmeticError to 2 and an OSError to 3.  The
+CLI repeats only some integer bounds, as argparse ranges: ``--kmax`` of
+``moments`` and ``compare``, ``paths --k`` and ``compare --p`` and ``--n``
+repeat checks of ``moment_table``, ``enumerate_canonical_paths`` and
+``SimConfig``, so that argparse's usage message names the flag, as in
+``argument --kmax: 0 is not in the range 1<=x<=40``.  The parser raises its
+usage errors as ValueErrors too, so they exit 1, not with argparse's 2.  All commands are
 deterministic given their flags (and seed).  The run flags of ``simulate``
 and ``compare`` are ``simulation.SimConfig``'s fields, passed to it as parsed,
 --threads included: without it, the engine picks the replicate thread count.

@@ -49,14 +49,15 @@ def mp_moment_exact(gamma: RationalLike, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if isinstance(gamma, float):  # Fraction takes no inf or NaN
+        _check_gamma(gamma)
     g = Fraction(gamma)
     if g <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     return sum(count_c0(k, r) * g ** (r - 1) for r in range(1, k + 1))
 
 
 def mp_moment(gamma: float, k: int) -> float:
-    _check_gamma(gamma)
     return float(mp_moment_exact(gamma, k))
 
 

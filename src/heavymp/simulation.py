@@ -54,10 +54,6 @@ TRACE_K_CUT = 9
 # sample streams.
 _PANEL_COLUMNS = 2500
 
-# Rows of R scaled and mirrored at once by ``_correlation``: 64 rows of the
-# norms' products at p=1000 hold 512 KB.
-_GRAM_BLOCK_ROWS = 64
-
 # cblas enum values for ``_blas_dsyrk``: row-major storage, upper triangle,
 # no transpose (C = alpha A A' + beta C)
 _CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS = 101, 121, 111
@@ -167,12 +163,11 @@ def _correlation(p: int, panels) -> np.ndarray:
 
     G starts at zero, and BLAS adds every X_b X_b' into its upper triangle
     in place as a symmetric rank-k update (``_add_panel_product``), so a
-    replicate holds one panel and G and no spare p x p buffer.  Then,
-    ``_GRAM_BLOCK_ROWS`` rows at a time, each block's part of the upper
-    triangle on and right of its diagonal is divided by the row norms'
-    products |x_i| |x_j| and the block's part left of its diagonal is
-    copied from the transposed rows above it, so R = G / (|x_i| |x_j|) is
-    exactly symmetric.  R's diagonal is set to exactly 1.
+    replicate holds one panel and G and no spare p x p buffer.  Then, row
+    by row, row i's part on and right of the diagonal is divided by the row
+    norms' products |x_i| |x_j|, and its part left of the diagonal is copied
+    from column i of the rows above, already scaled, so R = G / (|x_i| |x_j|)
+    is exactly symmetric.  R's diagonal is set to exactly 1.
     """
     gram = np.zeros((p, p))
     for panel in panels:
@@ -188,13 +183,9 @@ def _correlation(p: int, panels) -> np.ndarray:
     if zero_rows.size:
         raise ValueError(f"row {zero_rows[0]} is identically zero; cannot normalize")
     norms = np.sqrt(sq_norms)
-    below_diagonal = np.tri(_GRAM_BLOCK_ROWS, k=-1, dtype=bool)
-    for start in range(0, p, _GRAM_BLOCK_ROWS):
-        stop = min(start + _GRAM_BLOCK_ROWS, p)
-        square = gram[start:stop, start:stop]
-        np.copyto(square, square.T, where=below_diagonal[: stop - start, : stop - start])
-        gram[start:stop, start:] /= norms[start:stop, None] * norms[start:]
-        gram[start:stop, :start] = gram[:start, start:stop].T
+    for i in range(p):
+        gram[i, i:] /= norms[i] * norms[i:]
+        gram[i, :i] = gram[:i, i]
     np.fill_diagonal(gram, 1.0)
     return gram
 
@@ -280,6 +271,8 @@ class SimConfig:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 

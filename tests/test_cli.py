@@ -455,6 +455,11 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
         # rows are checked as rows, not as the gamma = p/n they would give
         (["compare", "--alpha", "1", "--p", "0"], "argument --p: 0 is not in the range x>=1"),
         (["compare", "--alpha", "1", "--p", "-5"], "argument --p: -5 is not in the range x>=1"),
+        # SeedSequence takes no negative entropy
+        (["simulate", "--dist", "gaussian", "--p", "5", "--n", "20", "--k", "2", "--replicates", "2",
+          "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["compare", "--alpha", "1", "--p", "5", "--n", "20", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(

@@ -66,6 +66,11 @@ def test_mp_moment_errors():
         mp_moment(0.0, 2)
     with pytest.raises(ValueError):
         mp_moment(0.2, 0)
+    # Fraction itself raises OverflowError for inf and its own message for NaN
+    for gamma in (math.inf, math.nan, -math.inf, 0.0, 0, "0", Fraction(-1, 5)):
+        for moment in (mp_moment_exact, mp_moment):
+            with pytest.raises(ValueError, match="gamma must be finite and positive, got "):
+                moment(gamma, 3)
 
 
 def test_limit_pF_1212_closed_form():

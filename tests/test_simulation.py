@@ -330,9 +330,7 @@ def _numpy_formula(x):
     return corr
 
 
-@pytest.mark.parametrize(
-    "p", [1, 2, simulation._GRAM_BLOCK_ROWS, 2 * simulation._GRAM_BLOCK_ROWS + 5]
-)
+@pytest.mark.parametrize("p", [1, 2, 64, 133])
 def test_one_panel_correlation_is_numpys_formula_bit_for_bit(p):
     # numpy forms X X' by the same dsyrk call, so a one-panel run's outputs
     # do not move when the Gram is accumulated in place
@@ -341,10 +339,10 @@ def test_one_panel_correlation_is_numpys_formula_bit_for_bit(p):
         assert np.array_equal(_correlation(p, [panel]), _numpy_formula(panel))
 
 
-def test_three_panel_correlation_over_several_row_blocks():
-    # three panels accumulate into the upper triangle, and p spans three row
-    # blocks of the scaling and mirroring, the last one ragged
-    p, n = 2 * simulation._GRAM_BLOCK_ROWS + 3, 2 * simulation._PANEL_COLUMNS + 3
+def test_three_panel_correlation_is_symmetric_with_unit_diagonal():
+    # three panels accumulate into the upper triangle, and the row pass
+    # scales it and mirrors it into the lower one
+    p, n = 131, 2 * simulation._PANEL_COLUMNS + 3
     corr = _correlation(p, simulation._panels(p, n, "t", 1.0, 7, 0))
     assert np.array_equal(corr, corr.T)
     assert np.array_equal(np.diag(corr), np.ones(p))
@@ -356,7 +354,7 @@ def test_correlation_takes_any_panel_layout():
     # Fortran-ordered, strided and integer panels are copied to C order
     # before the rank-k update; a float panel already in C order is not
     rng = np.random.default_rng(12)
-    p = 2 * simulation._GRAM_BLOCK_ROWS + 1
+    p = 129
     data = rng.integers(-9, 10, size=(p, 30))
     wide = rng.standard_normal((p, 40))
     panels = [np.asfortranarray(data[:, :10].astype(float)), wide[:, ::2], data[:, 10:]]
@@ -370,10 +368,10 @@ def test_correlation_takes_any_panel_layout():
     assert np.array_equal(_correlation(1, [np.array([[3, 4]]), np.array([[0.5]])]), [[1.0]])
 
 
-def test_correlation_peak_memory_is_the_gram_and_a_few_row_blocks():
+def test_correlation_peak_memory_is_the_gram_and_a_few_rows():
     # the panel products add into the Gram in place, with no spare p x p
-    # buffer beside it; scaling and mirroring a block of rows at a time
-    # adds two row blocks, 0.43 of a p x p matrix at p=300
+    # buffer beside it, and scaling and mirroring row by row adds a few
+    # p-vectors: 1.016 of a p x p matrix at p=300
     _dsyrk_or_skip()
     p = 300
     panels = [np.random.default_rng(j).standard_normal((p, 200)) for j in range(3)]
@@ -384,7 +382,7 @@ def test_correlation_peak_memory_is_the_gram_and_a_few_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * p * p * 8
+    assert peak < 1.1 * p * p * 8
 
 
 def test_correlation_without_dsyrk_falls_back_to_numpys_product(monkeypatch):
@@ -664,6 +662,9 @@ def test_sim_config_validation():
                      threads=None).threads is None
     with pytest.raises(ValueError, match="threads"):
         SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0, threads=0)
+    # SeedSequence takes no negative entropy
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1$"):
+        SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=-1)
 
 
 def test_gaussian_fourth_moment_decays():
