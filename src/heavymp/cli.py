@@ -12,10 +12,11 @@ repeat checks of ``moment_table``, ``enumerate_canonical_paths`` and
 usage errors as ValueErrors too, so they exit 1, not with argparse's 2.  All commands are
 deterministic given their flags (and seed).  The run flags of ``simulate``
 and ``compare`` are ``simulation.SimConfig``'s fields, passed to it as parsed,
---threads included: without it, the engine picks the replicate thread count.
-``compare`` reads its exact target at gamma = p/n, the simulated ratio, and
-z = (mean - exact) / stderr; when every replicate gives the same m_k, z is 0
-if the mean is exact and +-inf otherwise.
+--alpha and --threads included: SimConfig alone checks that t and pareto data
+have an alpha in (0, 2) and gaussian data none, and without --threads the
+engine picks the replicate thread count.  ``compare`` reads its exact target
+at gamma = p/n, the simulated ratio, and z = (mean - exact) / stderr; when
+every replicate gives the same m_k, z is 0 if the mean is exact and +-inf otherwise.
 
 The engines write no file: this module formats every output, floats in 17
 significant digits, which round-trip a float64.  ``simulate`` writes its
@@ -36,20 +37,17 @@ import json
 import math
 import sys
 from pathlib import Path as FilePath
-from typing import TYPE_CHECKING, Callable, NoReturn
+from typing import Callable, NoReturn
 
 from heavymp import combinatorics, moments
 from heavymp._common import DISTRIBUTIONS
-
-if TYPE_CHECKING:
-    from heavymp import paths
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_path(text: str, flag: str) -> paths.Path:
+def _parse_path(text: str, flag: str) -> tuple[int, ...]:
     try:
         values = tuple(int(v) for v in text.split(","))
     except ValueError:
@@ -196,7 +194,7 @@ def simulate(out: FilePath, hist_text: str | None, save_eigenvalues: bool, **fla
         print(f"wrote {path}")
 
 
-def compare(alpha: float, z_threshold: float, fmt: str, **flags) -> int:
+def compare(z_threshold: float, fmt: str, **flags) -> int:
     """Exact moments vs Monte Carlo means; exits non-zero if any |z| is large.
 
     Gaussian data are compared against the classical moments; heavy-tailed
@@ -206,10 +204,12 @@ def compare(alpha: float, z_threshold: float, fmt: str, **flags) -> int:
 
     if not z_threshold >= 0:  # no |z| exceeds a NaN, so NaN would pass every run
         raise ValueError(f"--z-threshold must be >= 0, got {z_threshold}")
-    gaussian = flags["dist"] == "gaussian"
-    table = moments.moment_table(alpha, flags["p"] / flags["n"], flags["k_max"])
-    exact = table.beta if gaussian else table.mu
-    config = simulation.SimConfig(**flags, alpha=None if gaussian else alpha)
+    config = simulation.SimConfig(**flags)
+    gamma = config.p / config.n
+    if config.alpha is None:
+        exact = [moments.mp_moment(gamma, k) for k in range(1, config.k_max + 1)]
+    else:
+        exact = moments.moment_table(config.alpha, gamma, config.k_max).mu
     report = simulation.run_experiment(config)
     stderr = report.stderr_moments()
     rows = []
@@ -323,7 +323,7 @@ def _build_parser() -> _Parser:
     add("--save-eigenvalues", action="store_true", help="write each replicate's spectrum")
 
     add = command("compare", compare)
-    add("--alpha", type=float, required=True, help="Tail index of the exact target")
+    add("--alpha", type=float, default=None, help="tail index in (0, 2), for t and pareto")
     add("--kmax", dest="k_max", metavar="KMAX", type=_int_range(1, moment_cap), default=5,
         help=f"largest k, 1 to {moment_cap}" + _DEFAULT)
     add("--p", type=_int_range(1), default=500, help="rows, at least 1" + _DEFAULT)

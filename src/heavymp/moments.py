@@ -90,11 +90,23 @@ def _heavy_tail_gap_exact(alpha: RationalLike, gamma: RationalLike, k: int) -> F
 def _moment_numerators(alpha: Fraction, gamma: Fraction, k_max: int) -> list[tuple[int, int, int]]:
     """(b, d, den) for k = 1..k_max: beta_k = b / den and d_k = d / den exactly.
 
-    With a = alpha/2 = A/D_a and gamma = G/D_g, beta_k and d_k share the
-    denominator L_k D_a^I D_g^(k-1), with L_k the lcm of d_k's denominators
-    and I the top power of a up to k_max; neither has a power of gamma above
-    k - 1.  An int division rounds correctly, so b / den is float(Fraction(b, den)).
+    Up to the committed table's top (18), with a = alpha/2 = A/D_a and
+    gamma = G/D_g, beta_k and d_k share the denominator L_k D_a^I D_g^(k-1),
+    with L_k the lcm of d_k's denominators and I the top power of a up to
+    k_max; neither has a power of gamma above k - 1.  Past it, the series runs
+    at (a, gamma) in exact rationals and d_k = mu_k - beta_k, over the product
+    of the two denominators.  An int division rounds correctly, so b / den is
+    float(Fraction(b, den)).
     """
+    if k_max > max(_dtable.D):
+        from heavymp import series
+
+        rows = []
+        for k, m in enumerate(series.moment_series(alpha / 2, gamma, k_max)[1:], start=1):
+            b = mp_moment_exact(gamma, k)
+            b_num = b.numerator * m.denominator
+            rows.append((b_num, m.numerator * b.denominator - b_num, b.denominator * m.denominator))
+        return rows
     a = alpha / 2
     big_a, den_a = a.numerator, a.denominator
     big_g, den_g = gamma.numerator, gamma.denominator
@@ -146,20 +158,8 @@ def moment_table(alpha: float, gamma: float, k_max: int) -> MomentTable:
         raise ValueError(f"k must be >= 1, got {k_max}")
     if k_max > MOMENT_K_MAX:
         raise RuntimeError(f"moment order k={k_max} exceeds {MOMENT_K_MAX}, the largest order evaluated")
-    if k_max <= max(_dtable.D):
-        rows = _moment_numerators(Fraction(alpha), Fraction(gamma), k_max)
-    else:
-        from heavymp import series
-
-        mu = series.moment_series(Fraction(alpha) / 2, Fraction(gamma), k_max)[1:]
-        rows = []
-        for k, m in enumerate(mu, start=1):
-            # beta_k and d_k over one denominator, as the table route gives them
-            b = mp_moment_exact(gamma, k)
-            b_num = b.numerator * m.denominator
-            rows.append((b_num, m.numerator * b.denominator - b_num, b.denominator * m.denominator))
     rounded = []
-    for k, (b, d, den) in enumerate(rows, start=1):
+    for k, (b, d, den) in enumerate(_moment_numerators(Fraction(alpha), Fraction(gamma), k_max), start=1):
         try:
             rounded.append((b / den, d / den, (b + d) / den))
         except OverflowError:

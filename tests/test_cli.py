@@ -353,6 +353,30 @@ def test_moments_call_loads_only_what_it_runs():
     assert done.returncode == 0, done.stderr[-2000:]
 
 
+# the classical moments of a Gaussian `compare` need no heavy-tail table, at any --kmax
+_GAUSSIAN_COMPARE_RUN = """
+import contextlib, io, sys
+from heavymp import cli, moments
+
+def refuse(*args):
+    raise AssertionError("a gaussian compare ran the heavy-tail table")
+
+moments.moment_table = refuse
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["compare", "--dist", "gaussian", "--p", "10", "--n", "30", "--kmax", "20",
+                     "--replicates", "2", "--z-threshold", "1e9"]) == 0
+assert "heavymp.series" not in sys.modules
+"""
+
+
+def test_gaussian_compare_runs_no_heavy_tail_table():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", _GAUSSIAN_COMPARE_RUN], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def test_compare_small_run():
     result = run(
         "compare", "--alpha", "1", "--p", "60", "--n", "300", "--dist", "t",
@@ -409,6 +433,9 @@ def _no_replicate(monkeypatch):
         (["paths", "--k", "4", "--r", "9"], "r must satisfy 1 <= r <= k=4, got 9"),
         (["delta", "--i", "1,2", "--t", "1,1,1"], "length mismatch"),
         (["contributing", "--i", "1,2,3"], "reducible"),
+        # a path's labels are parsed by the CLI before an engine sees them
+        (["contributing", "--i", "0,1"], "--i must be positive integers, got '0,1'"),
+        (["delta", "--i", "1,x", "--t", "1,1"], "--i must be comma-separated integers, got '1,x'"),
     ],
 )
 def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, message):
@@ -425,9 +452,9 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
         (["compare", "--alpha", "1", "--gamma", "0.2"], "unrecognized arguments: --gamma"),
         # --kmax fills SimConfig's k_max but keeps its name in messages
         (["compare", "--alpha", "1", "--kmax", "0"], "argument --kmax: 0 is not in the range"),
-        # the exact table checks alpha before the t sampler does
-        (["compare", "--alpha", "3"], "alpha must lie in the open interval"),
-        (["compare", "--alpha", "3", "--dist", "gaussian"], "alpha must lie in the open interval"),
+        # SimConfig checks alpha before any exact value is computed
+        (["compare", "--alpha", "3"], "t sampling needs alpha in (0, 2), got 3.0"),
+        (["compare", "--alpha", "3", "--dist", "gaussian"], "gaussian sampling takes no alpha, got 3.0"),
         (["compare", "--alpha", "1", "--n", "0"], "--n"),
         (["simulate", "--dist", "t", "--alpha", "1", "--p", "20", "--n", "60", "--replicates", "3",
           "--hist", "10:0:inf"], "hist needs BINS >= 1 and finite LO < HI"),
@@ -460,6 +487,9 @@ def test_rejected_exact_arguments_exit_1_with_the_engine_message(capsys, args, m
           "--seed", "-1"], "seed must be >= 0, got -1"),
         (["compare", "--alpha", "1", "--p", "5", "--n", "20", "--seed", "-1"],
          "seed must be >= 0, got -1"),
+        # heavy-tailed data need a tail index for the sampler and the exact target
+        (["compare"], "t sampling needs alpha in (0, 2), got None"),
+        (["compare", "--dist", "pareto"], "pareto sampling needs alpha in (0, 2), got None"),
     ],
 )
 def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(
@@ -476,7 +506,7 @@ def test_rejected_monte_carlo_arguments_exit_1_before_any_replicate(
 
 
 def test_compare_gaussian_column_is_the_marchenko_pastur_moment():
-    result = run("compare", "--alpha", "1", "--dist", "gaussian", "--p", "30", "--n", "90",
+    result = run("compare", "--dist", "gaussian", "--p", "30", "--n", "90",
                  "--kmax", "6", "--replicates", "3", "--seed", "2", "--z-threshold", "1e9")
     assert result.exit_code == 0, result.output
     exact = [float(line.split(",")[1]) for line in result.output.splitlines()[1:]]

@@ -53,6 +53,10 @@ def test_stirling2_range_errors():
         stirling2(4, 5)
     with pytest.raises(ValueError):
         stirling2(0, 0)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        bell(0)
+    with pytest.raises(ValueError, match=r"^k and r must be non-negative, got k=-1, r=0$"):
+        stirling2_assoc(-1, 0)
 
 
 @pytest.mark.parametrize("k,expected", [(1, 1), (4, 15), (8, 4140)])

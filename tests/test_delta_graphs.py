@@ -36,6 +36,8 @@ def test_build_delta_figure_topology():
 def test_build_delta_length_mismatch():
     with pytest.raises(ValueError):
         build_delta((1, 2), (1, 1, 1))
+    with pytest.raises(ValueError, match="^paths must be non-empty$"):
+        build_delta((), ())
 
 
 def test_total_degree_is_2k():
@@ -170,6 +172,8 @@ def test_contributing_sets_rejects_reducible():
     with pytest.raises(ValueError) as error:
         contributing_sets((2, 1))
     assert str(error.value) == "path (2, 1) is not canonical"
+    with pytest.raises(ValueError, match="^empty path$"):
+        contributing_sets(())
 
 
 def test_level_two_empty_for_short_irreducible_paths():

@@ -409,6 +409,8 @@ def test_gap_vanishes_at_alpha_two():
     for gamma in IDENTITY_GAMMAS:
         for k in range(1, TABLE_TOP + 1):
             assert _heavy_tail_gap_exact(Fraction(2), gamma, k) == 0
+    # past the table's top, the exact gap runs the series
+    assert _heavy_tail_gap_exact(Fraction(2), Fraction(5, 7), TABLE_TOP + 2) == 0
     gamma = Fraction(7, 2)
     mu = series.moment_series(Fraction(1), gamma, MOMENT_K_MAX)
     assert mu == [1] + [mp_moment_exact(gamma, k) for k in range(1, MOMENT_K_MAX + 1)]
@@ -605,6 +607,11 @@ def test_moment_series_rounded_once_is_the_table():
         mu = series.moment_series(alpha / 2, gamma, TABLE_TOP)
         assert mu[1:] == [mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k)
                           for k in range(1, TABLE_TOP + 1)]
+    # the exact gap past the table's top is the series' too
+    alpha, gamma = Fraction(2, 3), Fraction(5, 7)
+    mu = series.moment_series(alpha / 2, gamma, TABLE_TOP + 2)
+    for k in (TABLE_TOP + 1, TABLE_TOP + 2):
+        assert mp_moment_exact(gamma, k) + _heavy_tail_gap_exact(alpha, gamma, k) == mu[k]
 
 
 def series_product(x, y):
@@ -747,6 +754,7 @@ def test_moment_table():
 
 def test_boundary_modified_poisson_pmf():
     law = boundary_modified_poisson(1.0)
+    assert law.pmf(-1) == 0.0
     assert law.pmf(0) == pytest.approx(math.exp(-1), abs=1e-14)
     assert law.pmf(1) == pytest.approx(math.exp(-1), abs=1e-14)
     for gamma in (0.2, 1.0, 2.0):
@@ -793,6 +801,13 @@ def test_boundary_support_walk_is_bounded():
 def test_boundary_moment_alpha0_values():
     expected = (0.2 * 1 + 0.04 * 7 + 0.008 * 6 + 0.0016 * 1) / 0.2
     assert boundary_moment_alpha0(0.2, 4) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        boundary_moment_alpha0(1.0, 0)
+    # the law's zeroth moment is its total mass
+    law = boundary_modified_poisson(1.0)
+    assert law.moment(0) == 1.0
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        law.moment(-1)
 
 
 def test_boundary_moments_match_pmf():

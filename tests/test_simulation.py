@@ -658,6 +658,8 @@ def test_sim_config_validation():
         SimConfig(p=5, n=5, dist="gaussian", alpha=7.0, k_max=2, replicates=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=0, replicates=1, seed=0)
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1, got 0$"):
+        SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=0, seed=0)
     assert SimConfig(p=5, n=5, dist="gaussian", alpha=None, k_max=2, replicates=1, seed=0,
                      threads=None).threads is None
     with pytest.raises(ValueError, match="threads"):
